@@ -5,17 +5,21 @@ pooling and softmax cross-entropy: everything needed to rebuild the small
 reference classifiers and the strided-convolution pooling baseline.
 
 Conventions shared by all layers:
-  - forward(x, train=...) stores whatever backward needs;
+  - forward(x, train=True) stores whatever backward needs; Conv2d,
+    BatchNorm2d and the pooling layers store nothing for train=False, so a
+    backward after an evaluation forward raises;
   - backward(grad_out) returns the input gradient and ACCUMULATES parameter
     gradients into the layer's grad buffers (call zero_grad between steps);
   - pooling never pads and requires the window to tile the input exactly;
-    convolution supports symmetric zero padding.
+    convolution supports symmetric zero padding;
+  - every windowed layer (Conv2d, FixedPool and the perceptron layers of
+    pooling.py) reads its windows through im2col and returns its input
+    gradient through the adjoint col2im.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .initializers import glorot_uniform
 from .optim import ParamGroup
@@ -41,23 +45,45 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-def window_view(x: np.ndarray, wh: int, ww: int, sh: int, sw: int) -> np.ndarray:
-    """Strided read-only view (B, C, oH, oW, wh, ww) over all windows."""
-    v = sliding_window_view(x, (wh, ww), axis=(2, 3))
-    return v[:, :, ::sh, ::sw]
+# im2col and col2im walk the first axis in blocks of about this many input
+# bytes, so the wh*ww strided passes over a block are served from cache
+# instead of sweeping the whole array from memory wh*ww times.
+_BLOCK_BYTES = 1 << 20
 
 
-def scatter_windows(grad_win: np.ndarray, out_shape, stride_h: int, stride_w: int) -> np.ndarray:
-    """Accumulate per-window gradients (B, C, oH, oW, wh, ww) back onto the
-    input grid; overlapping windows sum."""
-    b, c, h, w = out_shape
-    _, _, oh, ow, wh, ww = grad_win.shape
-    gx = np.zeros((b, c, h, w), dtype=grad_win.dtype)
-    for dy in range(wh):
-        for dx in range(ww):
-            gx[:, :, dy : dy + stride_h * oh : stride_h,
-               dx : dx + stride_w * ow : stride_w] += grad_win[..., dy, dx]
-    return gx
+def _blocks(x: np.ndarray) -> list[slice]:
+    step = max(1, _BLOCK_BYTES * len(x) // max(x.nbytes, 1))
+    return [slice(lo, lo + step) for lo in range(0, len(x), step)]
+
+
+def im2col(x: np.ndarray, wh: int, ww: int, stride: int) -> np.ndarray:
+    """Every exactly tiling wh x ww window of x (N, ..., H, W), as a
+    (wh, ww, N, ..., oH, oW) array: one strided copy per window offset, so
+    windowed reductions and GEMMs run over contiguous planes."""
+    *lead, h, w = x.shape
+    oh = (h - wh) // stride + 1
+    ow = (w - ww) // stride + 1
+    cols = np.empty((wh, ww, *lead, oh, ow), dtype=x.dtype)
+    for blk in _blocks(x):
+        for dy in range(wh):
+            for dx in range(ww):
+                cols[dy, dx, blk] = x[blk, ..., dy : dy + stride * oh : stride,
+                                      dx : dx + stride * ow : stride]
+    return cols
+
+
+def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
+    """Adjoint of im2col: add each offset plane of cols (wh, ww, N, ..., oH, oW)
+    back onto a zero array of the input `shape`; overlapping windows sum."""
+    wh, ww = cols.shape[:2]
+    oh, ow = cols.shape[-2:]
+    x = np.zeros(shape, dtype=cols.dtype)
+    for blk in _blocks(x):
+        for dy in range(wh):
+            for dx in range(ww):
+                x[blk, ..., dy : dy + stride * oh : stride,
+                  dx : dx + stride * ow : stride] += cols[dy, dx, blk]
+    return x
 
 
 class Layer:
@@ -132,17 +158,9 @@ class Conv2d(Layer):
             raise ValueError(f"kernel {self.kernel} does not fit input {h}x{w} with pad {self.pad}")
         return oh, ow
 
-    def _im2col(self, xp, b, c, oh, ow):
-        # Columns in (c*kh*kw, b*oh*ow) order: one bulk strided copy per
-        # kernel offset, and both forward and backward become single GEMMs.
-        kh, kw = self.kernel
-        s = self.stride
-        xt = xp.transpose(1, 0, 2, 3)
-        cols = np.empty((c, kh, kw, b, oh, ow), dtype=xp.dtype)
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, dy, dx] = xt[:, :, dy : dy + s * oh : s, dx : dx + s * ow : s]
-        return cols.reshape(c * kh * kw, b * oh * ow)
+    def _weight_matrix(self):
+        # (O, kh*kw*C), matching the (kh, kw, C) row order of the columns
+        return self.weights.transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
 
     def forward(self, x, train: bool = True):
         b, c, h, w = x.shape
@@ -151,12 +169,12 @@ class Conv2d(Layer):
         oh, ow = self._out_dims(h, w)
         if self.pad:
             x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-        cols = self._im2col(x, b, c, oh, ow)
-        out = self.weights.reshape(self.out_channels, -1) @ cols
+        # Channels before batch, so the columns reshape for free to (kh*kw*C, B*oH*oW).
+        cols = im2col(x.transpose(1, 0, 2, 3), *self.kernel, self.stride).reshape(-1, b * oh * ow)
+        out = self._weight_matrix() @ cols
         if self.bias is not None:
             out += self.bias[:, None]
-        if train:
-            self._saved = (cols, x.shape, (b, oh, ow))
+        self._saved = (cols, x.shape, (b, oh, ow)) if train else None
         return np.ascontiguousarray(
             out.reshape(self.out_channels, b, oh, ow).transpose(1, 0, 2, 3)
         )
@@ -164,21 +182,17 @@ class Conv2d(Layer):
     def backward(self, grad_out):
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward without a stored forward")
-        cols, padded_shape, (b, oh, ow) = self._saved
+        cols, (_, c, hp, wp), (b, oh, ow) = self._saved
         if grad_out.shape != (b, self.out_channels, oh, ow):
             raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match forward")
         kh, kw = self.kernel
-        c, s = self.in_channels, self.stride
         go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(self.out_channels, -1)
-        self.weights_grad += (go @ cols.T).reshape(self.weights.shape)
+        gw = (go @ cols.T).reshape(self.out_channels, kh, kw, c)
+        self.weights_grad += gw.transpose(0, 3, 1, 2)
         if self.bias is not None:
             self.bias_grad += go.sum(axis=1)
-        grad_cols = (self.weights.reshape(self.out_channels, -1).T @ go).reshape(c, kh, kw, b, oh, ow)
-        gx = np.zeros((padded_shape[1],) + (padded_shape[0],) + padded_shape[2:], dtype=grad_out.dtype)
-        for dy in range(kh):
-            for dx in range(kw):
-                gx[:, :, dy : dy + s * oh : s, dx : dx + s * ow : s] += grad_cols[:, dy, dx]
-        gx = gx.transpose(1, 0, 2, 3)
+        grad_cols = (self._weight_matrix().T @ go).reshape(kh, kw, c, b, oh, ow)
+        gx = col2im(grad_cols, (c, b, hp, wp), self.stride).transpose(1, 0, 2, 3)
         if self.pad:
             gx = gx[:, :, self.pad : -self.pad, self.pad : -self.pad]
         return np.ascontiguousarray(gx)
@@ -197,55 +211,47 @@ class FixedPool(Layer):
         self.stride = int(stride) if stride is not None else self.window[0]
         self.name = name
         self._saved = None
-        self.last_argmax = None  # flat indices into the input, max mode only
 
     def forward(self, x, train: bool = True):
-        b, c, h, w = x.shape
+        _, _, h, w = x.shape
         wh, ww = self.window
-        oh = pool_out_dim(h, wh, self.stride)
-        ow = pool_out_dim(w, ww, self.stride)
-        win = window_view(x, wh, ww, self.stride, self.stride)
-        flat = win.reshape(b, c, oh, ow, wh * ww)
+        pool_out_dim(h, wh, self.stride)  # raises unless the window tiles exactly
+        pool_out_dim(w, ww, self.stride)
+        cols = im2col(x, wh, ww, self.stride)
         if self.mode == "max":
-            idx = flat.argmax(axis=-1)  # ties: first index in row-major scan
-            out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-            iy = np.arange(oh)[:, None] * self.stride + idx // ww
-            ix = np.arange(ow)[None, :] * self.stride + idx % ww
-            bb = np.arange(b)[:, None, None, None]
-            cc = np.arange(c)[None, :, None, None]
-            self.last_argmax = ((bb * c + cc) * h + iy) * w + ix
-            self._saved = ("max", x.shape, flat)
+            out = cols.max(axis=(0, 1))
         else:
-            out = flat.mean(axis=-1)
-            self._saved = ("average", x.shape, None)
+            out = cols.mean(axis=(0, 1))
+        # Max backward and kink_margin need the windows; average needs only shapes.
+        self._saved = (x.shape, cols if self.mode == "max" else None, out.shape) if train else None
         return out
 
     def backward(self, grad_out):
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward without a stored forward")
-        mode, in_shape, _ = self._saved
-        b, c, h, w = in_shape
-        wh, ww = self.window
-        oh = pool_out_dim(h, wh, self.stride)
-        ow = pool_out_dim(w, ww, self.stride)
-        if grad_out.shape != (b, c, oh, ow):
+        in_shape, cols, out_shape = self._saved
+        if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match forward")
-        if mode == "max":
-            gx = np.zeros(b * c * h * w, dtype=grad_out.dtype)
-            np.add.at(gx, self.last_argmax.ravel(), grad_out.ravel())
-            return gx.reshape(in_shape)
-        share = grad_out / (wh * ww)
-        grad_win = np.broadcast_to(share[..., None, None], (b, c, oh, ow, wh, ww))
-        return scatter_windows(np.ascontiguousarray(grad_win), in_shape, self.stride, self.stride)
+        wh, ww = self.window
+        if self.mode == "max":
+            # One-hot on the first maximum in row-major window scan, so ties
+            # route the whole gradient to a single input.
+            first = cols.reshape(wh * ww, *out_shape).argmax(axis=0)
+            onehot = np.arange(wh * ww).reshape(wh, ww, 1, 1, 1, 1) == first
+            grad_cols = onehot * grad_out
+        else:
+            grad_cols = np.broadcast_to(grad_out / (wh * ww), (wh, ww, *out_shape))
+        return col2im(grad_cols, in_shape, self.stride)
 
     def kink_margin(self):
-        if self._saved is None or self._saved[0] != "max":
+        if self._saved is None or self._saved[1] is None:
             return None
-        flat = self._saved[2]
-        if flat.shape[-1] < 2:
+        cols = self._saved[1]
+        flat = cols.reshape(-1, *cols.shape[2:])
+        if len(flat) < 2:
             return None
-        top2 = np.partition(flat, -2, axis=-1)[..., -2:]
-        return float(np.min(top2[..., 1] - top2[..., 0]))
+        top2 = np.partition(flat, -2, axis=0)[-2:]
+        return float(np.min(top2[1] - top2[0]))
 
 
 class ReLU(Layer):

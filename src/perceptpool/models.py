@@ -93,17 +93,17 @@ def make_pooling_slot(cfg: TrainConfig, name: str, channels: int, dtype=np.float
                       rng=rng_for(cfg.seed, name), dtype=dtype, name=name)
         return [conv, ReLU(name=f"{name}.relu")]
     if kind == "perceptron":
-        return [_perceptron_slot(cfg, name)]
+        return [_perceptron_slot(cfg, name, dtype=dtype)]
     if kind == "nn_4_1":
         return [_mlp_slot(cfg, name, [(4, 2, 2), (1, 2, 2)], dtype)]
     if kind == "nn_16_1":
         return [_mlp_slot(cfg, name, [(16, 2, 2), (1, 4, 4)], dtype)]
     if kind == "nn_z":
-        return [_perceptron_slot(cfg, name, sharing=Sharing.PER_CHANNEL)]
+        return [_perceptron_slot(cfg, name, Sharing.PER_CHANNEL, dtype)]
     if kind == "nn_field":
-        return [_perceptron_slot(cfg, name, sharing=Sharing.PER_FIELD)]
+        return [_perceptron_slot(cfg, name, Sharing.PER_FIELD, dtype)]
     if kind == "nn_tensor":
-        return [_perceptron_slot(cfg, name, sharing=Sharing.PER_TENSOR)]
+        return [_perceptron_slot(cfg, name, Sharing.PER_TENSOR, dtype)]
     raise ValueError(f"unknown pooling kind {kind!r}")
 
 

@@ -10,12 +10,14 @@ just W*H + 1 regardless of channel width.
 
 A layer may hold p = q*q perceptrons. Their p outputs at window position
 (i, j) are restructured into a q x q spatial block, row-major by unit index:
-unit k lands at (i*q + k//q, j*q + k mod q). With four units and stride two
-the output tensor keeps the input's spatial size, so further perceptron
-layers can be stacked on top, forming a small MLP inside the network
-(MlpPoolStack). Run at stride 1 over a zero-padded input, u*u units expand
-every position into a u x u block instead: a learned u-times upscaling
-(PerceptronUpsample).
+unit k lands at (i*q + k//q, j*q + k mod q). This restructuring is the
+depth-to-space rearrangement ("pixel shuffle") of Shi et al. 2016
+(arXiv 1609.05158), with the units as the depth axis. With four units and
+stride two the output tensor keeps the input's spatial size, so further
+perceptron layers can be stacked on top, forming a small MLP inside the
+network (MlpPoolStack). Run at stride 1 over a zero-padded input, u*u units
+expand every position into a u x u block instead: a learned u-times
+upscaling (PerceptronUpsample).
 
 Weight sharing variants control how many independent perceptron instances
 are created:
@@ -26,6 +28,12 @@ are created:
 Instance counts for the non-GLOBAL modes depend on the input shape and are
 bound at first forward (or an explicit bind); changing the relevant shape
 afterwards is an error.
+
+Every mode runs on the same engine: the windows are copied out once by
+layers.im2col, one einsum per direction contracts them with the weights
+(the sharing mode only changes the weight subscripts), and depth-to-space
+restructures the unit outputs; the input gradient goes back through
+layers.col2im.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import time
 import numpy as np
 
 from . import initializers
-from .layers import Layer, pool_out_dim, scatter_windows, window_view, _pair
+from .layers import Layer, col2im, im2col, pool_out_dim, _pair
 from .optim import ParamGroup
 
 
@@ -60,15 +68,9 @@ class Sharing(enum.Enum):
 ACTIVATIONS = ("identity", "relu")
 
 
-def unit_position(k: int, q: int, i: int, j: int) -> tuple[int, int]:
-    """Output coordinate of unit k (row-major) at window position (i, j)."""
-    if not 0 <= k < q * q:
-        raise ValueError(f"unit {k} out of range for q={q}")
-    return i * q + k // q, j * q + k % q
-
-
 def restructure(units: np.ndarray, q: int) -> np.ndarray:
-    """(B, C, q*q, oH, oW) unit outputs -> (B, C, oH*q, oW*q) output grid.
+    """(B, C, q*q, oH, oW) unit outputs -> (B, C, oH*q, oW*q) output grid:
+    depth-to-space (pixel shuffle) with the units as the depth axis.
 
     Every output cell is written exactly once (the map is a bijection).
     """
@@ -80,33 +82,28 @@ def restructure(units: np.ndarray, q: int) -> np.ndarray:
 
 
 def unrestructure(grid: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of restructure: (B, C, oH*q, oW*q) -> (B, C, q*q, oH, oW)."""
+    """Inverse of restructure, space-to-depth: (B, C, oH*q, oW*q) -> (B, C, q*q, oH, oW).
+
+    This is im2col with window and stride q, so the result is a view of a
+    fresh unit-major (q*q, B, C, oH, oW) array.
+    """
     b, c, h, w = grid.shape
     if h % q or w % q:
         raise ValueError(f"grid {h}x{w} is not divisible into {q}x{q} blocks")
-    oh, ow = h // q, w // q
-    blocks = grid.reshape(b, c, oh, q, ow, q)
-    return blocks.transpose(0, 1, 3, 5, 2, 4).reshape(b, c, q * q, oh, ow)
+    units = im2col(grid, q, q, q).reshape(q * q, b, c, h // q, w // q)
+    return np.moveaxis(units, 0, 2)
 
 
-# einsum subscripts per sharing mode; win is (B,C,oH,oW,wh,ww), units (B,C,p,oH,oW)
-_FWD = {
-    Sharing.GLOBAL: "bcijyx,kyx->bckij",
-    Sharing.PER_CHANNEL: "bcijyx,ckyx->bckij",
-    Sharing.PER_FIELD: "bcijyx,ijkyx->bckij",
-    Sharing.PER_TENSOR: "bcijyx,cijkyx->bckij",
-}
-_GRAD_W = {
-    Sharing.GLOBAL: "bckij,bcijyx->kyx",
-    Sharing.PER_CHANNEL: "bckij,bcijyx->ckyx",
-    Sharing.PER_FIELD: "bckij,bcijyx->ijkyx",
-    Sharing.PER_TENSOR: "bckij,bcijyx->cijkyx",
-}
-_GRAD_IN = {
-    Sharing.GLOBAL: "kyx,bckij->bcijyx",
-    Sharing.PER_CHANNEL: "ckyx,bckij->bcijyx",
-    Sharing.PER_FIELD: "ijkyx,bckij->bcijyx",
-    Sharing.PER_TENSOR: "cijkyx,bckij->bcijyx",
+# Einsum subscripts of the weight view weights.reshape(*bound_key, units, -1)
+# per sharing mode: k is the unit, r the window offset, and the leading
+# c/i/j name the channel and output row/column an instance is bound to.
+# Columns are "rbcij" and unit outputs unit-major "kbcij", so under GLOBAL
+# sharing every contraction is one plain GEMM over contiguous operands.
+_WEIGHT_SUBSCRIPTS = {
+    Sharing.GLOBAL: "kr",
+    Sharing.PER_CHANNEL: "ckr",
+    Sharing.PER_FIELD: "ijkr",
+    Sharing.PER_TENSOR: "cijkr",
 }
 
 
@@ -145,24 +142,6 @@ class _PerceptronWindowLayer(Layer):
 
     # -- instantiation -----------------------------------------------------
 
-    def _mode_key(self, c, oh, ow):
-        if self.sharing is Sharing.GLOBAL:
-            return ()
-        if self.sharing is Sharing.PER_CHANNEL:
-            return (c,)
-        if self.sharing is Sharing.PER_FIELD:
-            return (oh, ow)
-        return (c, oh, ow)
-
-    def instances_for(self, c, oh, ow) -> int:
-        if self.sharing is Sharing.GLOBAL:
-            return 1
-        if self.sharing is Sharing.PER_CHANNEL:
-            return c
-        if self.sharing is Sharing.PER_FIELD:
-            return oh * ow
-        return c * oh * ow
-
     @property
     def instances(self) -> int:
         if self.weights is None:
@@ -174,7 +153,8 @@ class _PerceptronWindowLayer(Layer):
     def bind(self, channels: int, height: int, width: int) -> None:
         """Allocate and initialize per-instance weights for an input shape."""
         oh, ow = self._out_positions(height, width)
-        key = self._mode_key(channels, oh, ow)
+        dims = {"c": channels, "i": oh, "j": ow}
+        key = tuple(dims[label] for label in _WEIGHT_SUBSCRIPTS[self.sharing][:-2])
         if self.weights is not None:
             if key != self._bound_key:
                 raise ValueError(
@@ -183,7 +163,7 @@ class _PerceptronWindowLayer(Layer):
                 )
             return
         wh, ww = self.window
-        n = self.instances_for(channels, oh, ow)
+        n = math.prod(key)
         self.weights = np.zeros((n, self.units, wh, ww), dtype=self.dtype)
         self.bias = np.zeros((n, self.units), dtype=self.dtype) if self.use_bias else None
         self.weights_grad = np.zeros_like(self.weights)
@@ -201,85 +181,65 @@ class _PerceptronWindowLayer(Layer):
                                      self.lr_factor, self.wd_factor))
         return groups
 
-    # -- shared forward/backward over a window view -------------------------
+    # -- one windowed GEMM per direction, then depth-to-space ---------------
 
-    def _weight_view(self, c, oh, ow):
-        wh, ww = self.window
-        if self.sharing is Sharing.GLOBAL:
-            return self.weights[0]
-        if self.sharing is Sharing.PER_CHANNEL:
-            return self.weights
-        if self.sharing is Sharing.PER_FIELD:
-            return self.weights.reshape(oh, ow, self.units, wh, ww)
-        return self.weights.reshape(c, oh, ow, self.units, wh, ww)
+    @property
+    def _matmul(self) -> bool:
+        # einsum's optimize=True hands a two-operand contraction to (batched)
+        # matmul: one large GEMM under GLOBAL sharing, real matrix products
+        # with several units. One unit under channel- or position-bound
+        # weights would turn it into millions of wh*ww-long dot products,
+        # about 5x slower than einsum's own loop (PER_TENSOR on 50x64x32x32
+        # float32, 2-core machine, OpenBLAS).
+        return self.sharing is Sharing.GLOBAL or self.units > 1
 
-    def _bias_view(self, c, oh, ow):
-        if self.sharing is Sharing.GLOBAL:
-            return self.bias[0][None, None, :, None, None]
-        if self.sharing is Sharing.PER_CHANNEL:
-            return self.bias[None, :, :, None, None]
-        if self.sharing is Sharing.PER_FIELD:
-            b = self.bias.reshape(oh, ow, self.units)
-            return np.moveaxis(b, 2, 0)[None, None]
-        b = self.bias.reshape(c, oh, ow, self.units)
-        return np.moveaxis(b, 3, 1)[None]
+    def _bias_view(self):
+        """The bias, broadcastable against unit outputs (units, B, C, oH, oW)."""
+        sub = _WEIGHT_SUBSCRIPTS[self.sharing][:-1]
+        order = "".join(label for label in "kcij" if label in sub)
+        bias = np.einsum(f"{sub}->{order}", self.bias.reshape(*self._bound_key, self.units))
+        return np.expand_dims(bias, [p for p, label in enumerate("kbcij") if label not in sub])
 
-    def _units_forward(self, win):
-        b, c, oh, ow = win.shape[:4]
-        pre = np.einsum(_FWD[self.sharing], win, self._weight_view(c, oh, ow), optimize=True)
+    def _window_forward(self, cols, in_shape, train):
+        """Restructured output from the im2col columns (wh, ww, B, C, oH, oW)."""
+        sub = _WEIGHT_SUBSCRIPTS[self.sharing]
+        cols = cols.reshape(-1, *cols.shape[2:])
+        weights = self.weights.reshape(*self._bound_key, self.units, -1)
+        pre = np.einsum(f"rbcij,{sub}->kbcij", cols, weights, optimize=self._matmul)
         if self.bias is not None:
-            pre = pre + self._bias_view(c, oh, ow)
-        if self.activation == "relu":
-            return np.maximum(pre, 0), pre > 0, pre
-        return pre, None, pre
+            pre += self._bias_view()
+        relu = self.activation == "relu"
+        self._saved = (in_shape, cols, pre if relu else None) if train else None
+        return restructure(np.moveaxis(np.maximum(pre, 0) if relu else pre, 0, 2), self.block)
 
-    def _units_backward(self, grad_units, win, mask):
-        b, c, oh, ow = win.shape[:4]
-        if mask is not None:
-            grad_units = grad_units * mask
-        gw = np.einsum(_GRAD_W[self.sharing], grad_units, win, optimize=True)
+    def _window_backward(self, grad_out):
+        """Accumulate parameter gradients; return the gradient of the im2col
+        columns (wh, ww, B, C, oH, oW) and the forward's input shape."""
+        if self._saved is None:
+            raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
+        in_shape, cols, pre = self._saved
+        if grad_out.shape != self.output_shape(in_shape):
+            raise ValueError(
+                f"{self.name}: grad_out shape {grad_out.shape} does not match forward output "
+                f"{self.output_shape(in_shape)}"
+            )
+        grad_units = np.moveaxis(unrestructure(grad_out, self.block), 2, 0)
+        if pre is not None:
+            grad_units *= pre > 0
+        sub = _WEIGHT_SUBSCRIPTS[self.sharing]
+        weights = self.weights.reshape(*self._bound_key, self.units, -1)
+        gw = np.einsum(f"kbcij,rbcij->{sub}", grad_units, cols, optimize=self._matmul)
         self.weights_grad += gw.reshape(self.weights.shape)
         if self.bias is not None:
-            if self.sharing is Sharing.GLOBAL:
-                gb = grad_units.sum(axis=(0, 1, 3, 4))[None]
-            elif self.sharing is Sharing.PER_CHANNEL:
-                gb = grad_units.sum(axis=(0, 3, 4))
-            elif self.sharing is Sharing.PER_FIELD:
-                gb = np.moveaxis(grad_units.sum(axis=(0, 1)), 0, 2)
-            else:
-                gb = np.moveaxis(grad_units.sum(axis=0), 1, 3)
-            self.bias_grad += gb.reshape(self.bias.shape)
-        return np.einsum(_GRAD_IN[self.sharing], self._weight_view(c, oh, ow),
-                         grad_units, optimize=True)
-
-    def _backward_global_fused(self, grad_units, win, mask, in_shape, stride):
-        # GLOBAL shares one weight grid over everything, so the per-window
-        # gradient tensor never needs materializing: accumulate weight grads
-        # with p*W*H reductions and scatter input grads with scaled adds.
-        if mask is not None:
-            grad_units = grad_units * mask
-        wh, ww = self.window
-        oh, ow = grad_units.shape[3:]
-        w0 = self.weights[0]
-        gx = np.zeros(in_shape, dtype=grad_units.dtype)
-        for k in range(self.units):
-            gu = grad_units[:, :, k]
-            for dy in range(wh):
-                for dx in range(ww):
-                    self.weights_grad[0, k, dy, dx] += np.einsum(
-                        "bcij,bcij->", gu, win[..., dy, dx], optimize=True
-                    )
-                    gx[:, :, dy : dy + stride * oh : stride,
-                       dx : dx + stride * ow : stride] += w0[k, dy, dx] * gu
-        if self.bias is not None:
-            self.bias_grad[0] += grad_units.sum(axis=(0, 1, 3, 4))
-        return gx
+            self.bias_grad += np.einsum(f"kbcij->{sub[:-1]}", grad_units).reshape(self.bias.shape)
+        # Units first: einsum's matmul route then writes the columns contiguously.
+        grad_cols = np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self._matmul)
+        return grad_cols.reshape(*self.window, *grad_cols.shape[1:]), in_shape
 
     def kink_margin(self):
-        if self.activation != "relu" or self._saved is None:
+        if self._saved is None or self._saved[2] is None:
             return None
-        pre = self._saved[-1]
-        return float(np.min(np.abs(pre)))
+        return float(np.min(np.abs(self._saved[2])))
 
     def _out_positions(self, height, width):
         raise NotImplementedError
@@ -318,27 +278,13 @@ class PerceptronPool(_PerceptronWindowLayer):
         return (b, c, oh * self.block, ow * self.block)
 
     def forward(self, x, train: bool = True):
-        b, c, h, w = x.shape
+        _, c, h, w = x.shape
         self.bind(c, h, w)
-        win = window_view(x, *self.window, self.stride, self.stride)
-        units, mask, pre = self._units_forward(win)
-        self._saved = (x.shape, win, mask, pre)
-        return restructure(units, self.block)
+        return self._window_forward(im2col(x, *self.window, self.stride), x.shape, train)
 
     def backward(self, grad_out):
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward without a stored forward")
-        in_shape, win, mask, _ = self._saved
-        if grad_out.shape != self.output_shape(in_shape):
-            raise ValueError(
-                f"{self.name}: grad_out shape {grad_out.shape} does not match forward output "
-                f"{self.output_shape(in_shape)}"
-            )
-        grad_units = unrestructure(grad_out, self.block)
-        if self.sharing is Sharing.GLOBAL:
-            return self._backward_global_fused(grad_units, win, mask, in_shape, self.stride)
-        grad_win = self._units_backward(grad_units, win, mask)
-        return scatter_windows(grad_win, in_shape, self.stride, self.stride)
+        grad_cols, in_shape = self._window_backward(grad_out)
+        return col2im(grad_cols, in_shape, self.stride)
 
 
 class PerceptronUpsample(_PerceptronWindowLayer):
@@ -371,32 +317,16 @@ class PerceptronUpsample(_PerceptronWindowLayer):
         return (b, c, h * self.block, w * self.block)
 
     def forward(self, x, train: bool = True):
-        b, c, h, w = x.shape
+        _, c, h, w = x.shape
         self.bind(c, h, w)
         (pt, pb), (pl, pr) = self._pads()
         xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-        win = window_view(xp, *self.window, 1, 1)
-        units, mask, pre = self._units_forward(win)
-        self._saved = (x.shape, xp.shape, win, mask, pre)
-        return restructure(units, self.block)
+        return self._window_forward(im2col(xp, *self.window, 1), x.shape, train)
 
     def backward(self, grad_out):
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward without a stored forward")
-        in_shape, padded_shape, win, mask, _ = self._saved
-        if grad_out.shape != self.output_shape(in_shape):
-            raise ValueError(
-                f"{self.name}: grad_out shape {grad_out.shape} does not match forward output "
-                f"{self.output_shape(in_shape)}"
-            )
-        grad_units = unrestructure(grad_out, self.block)
-        if self.sharing is Sharing.GLOBAL:
-            gxp = self._backward_global_fused(grad_units, win, mask, padded_shape, 1)
-        else:
-            grad_win = self._units_backward(grad_units, win, mask)
-            gxp = scatter_windows(grad_win, padded_shape, 1, 1)
-        (pt, _), (pl, _) = self._pads()
-        _, _, h, w = in_shape
+        grad_cols, (b, c, h, w) = self._window_backward(grad_out)
+        (pt, pb), (pl, pr) = self._pads()
+        gxp = col2im(grad_cols, (b, c, h + pt + pb, w + pl + pr), 1)
         return gxp[:, :, pt : pt + h, pl : pl + w]
 
 

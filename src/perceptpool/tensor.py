@@ -1,126 +1,29 @@
-"""Dense rank-4 tensors in a fixed (batch, channel, row, column) layout.
+"""Binary serialization of rank-4 (batch, channel, row, column) tensors.
 
-Every array handled by this package is a numpy ndarray of shape
-(B, C, H, W) in C order, so flat index of element (b, c, y, x) is
-((b*C + c)*H + y)*W + x.  The helpers here enforce that contract and
-provide the binary serialization used by checkpoints: four little-endian
-uint64 dims followed by the little-endian IEEE-754 payload.
+Checkpoints store every array as a C-order (B, C, H, W) tensor, so the flat
+index of element (b, c, y, x) is ((b*C + c)*H + y)*W + x. On disk a tensor
+is four little-endian uint64 dims followed by the little-endian IEEE-754
+payload.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
-# Flat length cap so b*c*h*w never exceeds what a signed 64-bit size can hold.
-_MAX_ELEMENTS = 2**62
-
 _DIMS_STRUCT = struct.Struct("<4Q")
-
-
-@dataclass(frozen=True)
-class Shape4:
-    batch: int
-    channels: int
-    height: int
-    width: int
-
-    def __post_init__(self):
-        for name, v in zip(("batch", "channels", "height", "width"), self.as_tuple()):
-            if int(v) < 1:
-                raise ValueError(f"Shape4.{name} must be >= 1, got {v}")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.batch, self.channels, self.height, self.width)
-
-    @property
-    def size(self) -> int:
-        b, c, h, w = self.as_tuple()
-        return b * c * h * w
-
-
-def _as_dims(shape) -> tuple[int, int, int, int]:
-    if isinstance(shape, Shape4):
-        return shape.as_tuple()
-    dims = tuple(int(d) for d in shape)
-    if len(dims) != 4:
-        raise ValueError(f"expected 4 dims, got {len(dims)}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"all dims must be >= 1, got {dims}")
-    return dims
-
-
-def new_tensor(shape, fill: float = 0.0, dtype=np.float32) -> np.ndarray:
-    """Allocate a (B, C, H, W) array with every element set to `fill`."""
-    dims = _as_dims(shape)
-    if dtype not in SUPPORTED_DTYPES:
-        raise TypeError(f"dtype must be float32 or float64, got {dtype}")
-    n = dims[0] * dims[1] * dims[2] * dims[3]
-    if n > _MAX_ELEMENTS:
-        raise OverflowError(f"flat length {n} overflows the supported tensor size")
-    return np.full(dims, fill, dtype=dtype)
-
-
-def check_tensor4(t: np.ndarray) -> np.ndarray:
-    if not isinstance(t, np.ndarray) or t.ndim != 4:
-        raise ValueError(f"expected a rank-4 array, got ndim={getattr(t, 'ndim', None)}")
-    if any(d < 1 for d in t.shape):
-        raise ValueError(f"all dims must be >= 1, got {t.shape}")
-    return t
-
-
-def _checked_index(t, b, c, y, x):
-    for v, dim, name in zip((b, c, y, x), t.shape, "bcyx"):
-        if not 0 <= int(v) < dim:
-            raise IndexError(f"index {name}={v} out of bounds for dim {dim}")
-    return int(b), int(c), int(y), int(x)
-
-
-def index(t: np.ndarray, b: int, c: int, y: int, x: int) -> float:
-    """Element at (b, c, y, x); out-of-bounds (incl. negative) is an error."""
-    check_tensor4(t)
-    return float(t[_checked_index(t, b, c, y, x)])
-
-
-def set_value(t: np.ndarray, b: int, c: int, y: int, x: int, value: float) -> None:
-    check_tensor4(t)
-    t[_checked_index(t, b, c, y, x)] = value
-
-
-def map_binary(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """Elementwise add/sub/mul. Shapes must match exactly: no broadcasting."""
-    check_tensor4(a)
-    check_tensor4(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def reduce(t: np.ndarray, op: str) -> float:
-    check_tensor4(t)
-    if op == "sum":
-        return float(t.sum())
-    if op == "max":
-        return float(t.max())
-    if op == "mean":
-        return float(t.mean())
-    raise ValueError(f"unknown op {op!r}")
 
 
 def write_tensor(f: BinaryIO, t: np.ndarray) -> None:
     """Serialize: four uint64 LE dims, then the flat LE float payload."""
-    check_tensor4(t)
+    if not isinstance(t, np.ndarray) or t.ndim != 4:
+        raise ValueError(f"expected a rank-4 array, got ndim={getattr(t, 'ndim', None)}")
+    if any(d < 1 for d in t.shape):
+        raise ValueError(f"all dims must be >= 1, got {t.shape}")
     if t.dtype.type not in SUPPORTED_DTYPES:
         raise TypeError(f"unsupported dtype {t.dtype}")
     f.write(_DIMS_STRUCT.pack(*t.shape))

@@ -5,7 +5,7 @@ import pytest
 
 from perceptpool.gradcheck import check_layer
 from perceptpool.layers import (BatchNorm2d, Conv2d, Dense, FixedPool, ReLU,
-                                pool_out_dim, softmax_xent)
+                                col2im, im2col, pool_out_dim, softmax_xent)
 
 from oracles import conv2d_loops
 
@@ -25,6 +25,32 @@ class TestPoolOutDim:
             pool_out_dim(7, 2, 2)
         with pytest.raises(ValueError):
             pool_out_dim(3, 4, 1)
+
+
+class TestWindowEngine:
+    # 7 x 3 x 130 x 130 float64 is about 2.8 MB, several of im2col's blocks
+    # of the first axis, with a short last block.
+    SHAPE = (7, 3, 130, 130)
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (4, 3)])
+    def test_im2col_matches_window_slices_across_blocks(self, window, stride):
+        x = np.random.default_rng([40, window, stride]).normal(size=self.SHAPE)
+        cols = im2col(x, window, window, stride)
+        n = (self.SHAPE[-1] - window) // stride + 1
+        for dy in range(window):
+            for dx in range(window):
+                np.testing.assert_array_equal(
+                    cols[dy, dx], x[..., dy : dy + stride * n : stride, dx : dx + stride * n : stride])
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (4, 3)])
+    def test_col2im_is_the_adjoint_across_blocks(self, window, stride):
+        rng = np.random.default_rng([41, window, stride])
+        x = rng.normal(size=self.SHAPE)
+        cols = im2col(x, window, window, stride)
+        y = rng.normal(size=cols.shape)
+        lhs = float(np.vdot(cols, y))
+        rhs = float(np.vdot(x, col2im(y, x.shape, stride)))
+        assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
 class TestConv2d:
@@ -108,7 +134,8 @@ class TestFixedPool:
         pool = FixedPool("max", 2, 2)
         x = np.array([7.0, 7.0, 7.0, 7.0]).reshape(1, 1, 2, 2)
         pool.forward(x)
-        assert pool.last_argmax.ravel().tolist() == [0]
+        gin = pool.backward(np.ones((1, 1, 1, 1)))
+        np.testing.assert_array_equal(gin.ravel(), [1.0, 0.0, 0.0, 0.0])
 
     def test_average_backward_distributes(self):
         pool = FixedPool("average", 2, 2)
@@ -128,6 +155,20 @@ class TestFixedPool:
     def test_backward_matches_finite_differences(self, mode):
         report = check_layer(FixedPool(mode, 2, 2), (2, 3, 6, 6), seed=1, tolerance=1e-4)
         assert report.passed, report.format()
+
+    @pytest.mark.parametrize("mode", ["max", "average"])
+    def test_overlapping_windows_match_finite_differences(self, mode):
+        report = check_layer(FixedPool(mode, 3, 1), (2, 2, 5, 5), seed=2, tolerance=1e-4)
+        assert report.passed, report.format()
+
+    @pytest.mark.parametrize("mode", ["max", "average"])
+    def test_eval_forward_keeps_no_backward_state(self, mode):
+        pool = FixedPool(mode, 2, 2)
+        x = np.zeros((1, 1, 4, 4))
+        pool.forward(x, train=True)
+        pool.forward(x, train=False)
+        with pytest.raises(RuntimeError):
+            pool.backward(np.zeros((1, 1, 2, 2)))
 
     def test_average_is_linear(self):
         rng = np.random.default_rng(5)

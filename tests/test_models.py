@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from perceptpool.config import TrainConfig, parse_config
+from perceptpool.config import POOLINGS, TrainConfig, parse_config
 from perceptpool.layers import Conv2d
 from perceptpool.models import audit_params, build_model, rng_for
 from perceptpool.pooling import PerceptronPool
@@ -82,6 +82,12 @@ class TestBuildModel:
         cfg = TrainConfig(model="tiny_synth", upsample_kind="nn_up")
         with pytest.raises(ValueError, match="upsampl"):
             build_model(cfg)
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_float64_build_is_float64_throughout(self, pooling):
+        model = build_model(TrainConfig(model="tiny_synth", pooling_kind=pooling), dtype=np.float64)
+        dtypes = {name: arr.dtype for name, arr in model.state_tensors()}
+        assert all(dt == np.float64 for dt in dtypes.values()), dtypes
 
     def test_pattern_init_applies_to_pooling_slots(self):
         cfg = TrainConfig(model="tiny_synth", pooling_kind="perceptron", pooling_init="pattern")

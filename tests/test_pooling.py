@@ -7,7 +7,7 @@ from perceptpool.gradcheck import check_layer
 from perceptpool.layers import FixedPool, pool_out_dim
 from perceptpool.pooling import (MlpPoolStack, PerceptronPool, PerceptronUpsample,
                                  Sharing, complexity_probe, loglog_slope, param_count,
-                                 restructure, unit_position, unrestructure)
+                                 restructure, unrestructure)
 
 from oracles import avg_pool_loops, perceptron_pool_loops, restructure_loops
 
@@ -35,15 +35,18 @@ class TestForward:
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         np.testing.assert_array_equal(pool.forward(x)[0, 0], [[0.0, 2.0], [8.0, 10.0]])
 
-    def test_matches_window_loop_oracle(self):
+    @pytest.mark.parametrize("window,stride,units", [(2, 2, 1), (3, 1, 1), (3, 2, 4), (4, 4, 1)])
+    def test_matches_window_loop_oracle(self, window, stride, units):
         rng = np.random.default_rng(0)
-        pool = PerceptronPool(2, 2, dtype=np.float64)
-        pool.bind(2, 4, 4)
-        pool.weights[0, 0] = rng.normal(size=(2, 2))
-        pool.bias[0, 0] = rng.normal()
-        x = rng.normal(size=(1, 2, 4, 4))
-        expected = perceptron_pool_loops(x, pool.weights[0], pool.bias[0], 2, 2)[:, :, 0]
-        np.testing.assert_allclose(pool.forward(x), expected, atol=1e-12, rtol=0)
+        h = window + 2 * stride  # three window positions per axis
+        x = rng.normal(size=(2, 2, h, h))
+        pool = PerceptronPool(window, stride, units=units, dtype=np.float64)
+        pool.bind(2, h, h)
+        pool.weights[0] = rng.normal(size=pool.weights[0].shape)
+        pool.bias[0] = rng.normal(size=units)
+        unit_out = perceptron_pool_loops(x, pool.weights[0], pool.bias[0], window, stride)
+        np.testing.assert_allclose(pool.forward(x), restructure_loops(unit_out, pool.block),
+                                   atol=1e-12, rtol=0)
 
     def test_relu_matches_window_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -83,7 +86,6 @@ class TestRestructure:
         np.testing.assert_array_equal(restructure(units, 1), units[:, :, 0])
 
     def test_unit5_of_16_lands_at_5_9(self):
-        assert unit_position(5, 4, 1, 2) == (5, 9)
         units = np.zeros((1, 1, 16, 3, 4))
         units[0, 0, 5, 1, 2] = 1.0
         assert restructure(units, 4)[0, 0, 5, 9] == 1.0
@@ -152,6 +154,19 @@ class TestBackward:
         pool.forward(np.zeros((1, 1, 4, 4)))
         with pytest.raises(ValueError):
             pool.backward(np.zeros((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: PerceptronPool(2, 2, dtype=np.float64),
+        lambda: PerceptronUpsample(window=2, units=4, dtype=np.float64),
+        lambda: nn_4_1(),
+    ], ids=["pool", "upsample", "stack"])
+    def test_eval_forward_keeps_no_backward_state(self, make):
+        layer = make()
+        x = np.zeros((1, 1, 4, 4))
+        layer.forward(x, train=True)
+        layer.forward(x, train=False)
+        with pytest.raises(RuntimeError):
+            layer.backward(np.zeros(layer.output_shape(x.shape)))
 
 
 class TestProperties:

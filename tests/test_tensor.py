@@ -2,136 +2,8 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from perceptpool import tensor
-
-
-class TestNewTensor:
-    def test_zero_fill(self):
-        t = tensor.new_tensor((1, 1, 2, 2), 0.0)
-        assert t.shape == (1, 1, 2, 2)
-        assert np.all(t == 0.0)
-
-    def test_constant_fill(self):
-        t = tensor.new_tensor((2, 3, 4, 4), 1.5)
-        assert t.size == 96
-        assert np.all(t == 1.5)
-
-    def test_single_element(self):
-        t = tensor.new_tensor((1, 1, 1, 1), 0.25)
-        assert t.item() == 0.25
-
-    def test_shape4_object(self):
-        t = tensor.new_tensor(tensor.Shape4(2, 1, 3, 3), 7.0, dtype=np.float64)
-        assert t.shape == (2, 1, 3, 3) and t.dtype == np.float64
-
-    def test_rejects_zero_dim(self):
-        with pytest.raises(ValueError):
-            tensor.new_tensor((0, 1, 2, 2), 0.0)
-        with pytest.raises(ValueError):
-            tensor.Shape4(1, 1, 0, 1)
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            tensor.new_tensor((2**40, 2**40, 2, 2), 0.0)
-
-    def test_bad_dtype(self):
-        with pytest.raises(TypeError):
-            tensor.new_tensor((1, 1, 1, 1), 0.0, dtype=np.int32)
-
-
-class TestIndex:
-    def test_row_major_layout(self):
-        t = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-        assert tensor.index(t, 0, 0, 1, 0) == 3.0
-
-    def test_first_element(self):
-        t = np.arange(8.0).reshape(1, 2, 2, 2)
-        assert tensor.index(t, 0, 0, 0, 0) == 0.0
-
-    def test_channel_stride(self):
-        t = np.array([7.0, 9.0]).reshape(1, 2, 1, 1)
-        assert tensor.index(t, 0, 1, 0, 0) == 9.0
-
-    def test_out_of_bounds(self):
-        t = tensor.new_tensor((1, 1, 2, 2))
-        with pytest.raises(IndexError):
-            tensor.index(t, 0, 0, 2, 0)
-        with pytest.raises(IndexError):
-            tensor.index(t, 0, 0, -1, 0)
-
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
-           st.floats(-100, 100), st.data())
-    def test_set_index_roundtrip(self, b, c, h, w, value, data):
-        t = tensor.new_tensor((b, c, h, w), 0.0, dtype=np.float64)
-        bi = data.draw(st.integers(0, b - 1))
-        ci = data.draw(st.integers(0, c - 1))
-        yi = data.draw(st.integers(0, h - 1))
-        xi = data.draw(st.integers(0, w - 1))
-        tensor.set_value(t, bi, ci, yi, xi, value)
-        assert tensor.index(t, bi, ci, yi, xi) == value
-        # the layout formula is exactly the flat offset
-        assert t.ravel()[((bi * c + ci) * h + yi) * w + xi] == value
-
-
-class TestMapBinary:
-    def test_add(self):
-        a = np.array([1.0, 2.0]).reshape(1, 1, 1, 2)
-        b = np.array([3.0, 4.0]).reshape(1, 1, 1, 2)
-        assert tensor.map_binary(a, b, "add").ravel().tolist() == [4.0, 6.0]
-
-    def test_sub_self_is_zero(self):
-        x = np.random.default_rng(0).normal(size=(2, 2, 3, 3))
-        assert np.all(tensor.map_binary(x, x, "sub") == 0.0)
-
-    def test_mul(self):
-        a = np.array([2.0, 3.0]).reshape(1, 1, 1, 2)
-        b = np.array([4.0, 5.0]).reshape(1, 1, 1, 2)
-        assert tensor.map_binary(a, b, "mul").ravel().tolist() == [8.0, 15.0]
-
-    def test_shape_mismatch(self):
-        a = tensor.new_tensor((1, 1, 2, 2))
-        b = tensor.new_tensor((1, 1, 2, 3))
-        with pytest.raises(ValueError):
-            tensor.map_binary(a, b, "add")
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
-    def test_add_commutes_exactly(self, values):
-        a = np.array(values, dtype=np.float64).reshape(1, 1, 2, 2)
-        b = a[::-1].copy().reshape(1, 1, 2, 2)
-        ab = tensor.map_binary(a, b, "add")
-        ba = tensor.map_binary(b, a, "add")
-        assert np.array_equal(ab, ba)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12))
-    def test_add_associates_within_one_ulp_of_largest_term(self, values):
-        # each grouping rounds twice, so the gap is bounded by one ULP at
-        # the scale of the largest value touched (cancellation can make it
-        # enormous relative to the result itself)
-        vals = np.array(values, dtype=np.float64).reshape(3, 1, 1, 2, 2)
-        a, b, c = vals
-        ab = tensor.map_binary(a, b, "add")
-        bc = tensor.map_binary(b, c, "add")
-        left = tensor.map_binary(ab, c, "add")
-        right = tensor.map_binary(a, bc, "add")
-        scale = np.max(np.abs(np.stack([a, b, c, ab, bc, left, right])), axis=0)
-        assert np.all(np.abs(left - right) <= np.spacing(2.0 * scale))
-
-
-class TestReduce:
-    def test_sum(self):
-        t = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-        assert tensor.reduce(t, "sum") == 10.0
-
-    def test_max(self):
-        t = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-        assert tensor.reduce(t, "max") == 4.0
-
-    def test_mean(self):
-        t = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-        assert tensor.reduce(t, "mean") == 2.5
 
 
 class TestSerialization:
@@ -148,7 +20,7 @@ class TestSerialization:
 
     def test_header_is_four_uint64(self):
         buf = io.BytesIO()
-        tensor.write_tensor(buf, tensor.new_tensor((1, 2, 3, 4), 0.0))
+        tensor.write_tensor(buf, np.full((1, 2, 3, 4), 0.0, dtype=np.float32))
         raw = buf.getvalue()
         dims = np.frombuffer(raw[:32], dtype="<u8")
         assert dims.tolist() == [1, 2, 3, 4]
@@ -156,7 +28,16 @@ class TestSerialization:
 
     def test_truncated_payload(self):
         buf = io.BytesIO()
-        tensor.write_tensor(buf, tensor.new_tensor((1, 1, 2, 2), 1.0))
+        tensor.write_tensor(buf, np.full((1, 1, 2, 2), 1.0, dtype=np.float32))
         raw = buf.getvalue()[:-3]
         with pytest.raises(ValueError, match="truncated"):
             tensor.read_tensor(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((2, 2, 2), dtype=np.float32), ValueError),
+        (np.zeros((1, 0, 2, 2), dtype=np.float32), ValueError),
+        (np.zeros((1, 1, 2, 2), dtype=np.int32), TypeError),
+    ], ids=["rank3", "zero_dim", "int32"])
+    def test_write_rejects_non_tensor(self, bad, error):
+        with pytest.raises(error):
+            tensor.write_tensor(io.BytesIO(), bad)
