@@ -61,16 +61,11 @@ def build_check_layer(spec: str):
         return layer, (2, 3, 6, 6)
     if name == "gap_perceptron":
         return PerceptronPool(window=8, stride=8, lr_factor=1e-3, dtype=f64), (2, 2, 8, 8)
-    if name == "nn_4_1":
+    if name in ("nn_4_1", "nn_16_1"):
+        q = 2 if name == "nn_4_1" else 4
         stack = MlpPoolStack([
-            PerceptronPool(2, 2, units=4, activation=activation, dtype=f64),
-            PerceptronPool(2, 2, units=1, activation=activation, dtype=f64),
-        ])
-        return stack, (2, 2, 8, 8)
-    if name == "nn_16_1":
-        stack = MlpPoolStack([
-            PerceptronPool(2, 2, units=16, activation=activation, dtype=f64),
-            PerceptronPool(4, 4, units=1, activation=activation, dtype=f64),
+            PerceptronPool(2, 2, units=q * q, sharing=sharing, activation=activation, dtype=f64),
+            PerceptronPool(q, q, units=1, sharing=sharing, activation=activation, dtype=f64),
         ])
         return stack, (2, 2, 8, 8)
     if name == "upsample":

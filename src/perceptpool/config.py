@@ -23,8 +23,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 MODELS = ("model_a_like", "model_c_like", "tiny_synth")
-POOLINGS = ("max", "average", "strided_conv", "perceptron", "nn_4_1", "nn_16_1",
-            "nn_z", "nn_field", "nn_tensor")
+# The pooling.* keys each pooling kind reads (see models.make_pooling_slot).
+# Every other pooling key must keep its default, so that no setting is
+# silently ignored; defaults still load because checkpoints echo every key.
+_NEURON_KEYS = ("activation", "use_bias", "lr_factor", "wd_factor", "init")
+_WINDOW_KEYS = ("window", "stride", "units", *_NEURON_KEYS)
+POOLING_KEYS = {
+    "max": (), "average": (), "strided_conv": (),
+    "perceptron": _WINDOW_KEYS, "nn_4_1": _NEURON_KEYS, "nn_16_1": _NEURON_KEYS,
+    "nn_z": _WINDOW_KEYS, "nn_field": _WINDOW_KEYS, "nn_tensor": _WINDOW_KEYS,
+}
+POOLINGS = tuple(POOLING_KEYS)
 UPSAMPLES = ("", "transpose_like", "nn_up")
 INITS = ("average", "pattern", "glorot")
 OPTIMIZERS = ("sgd", "adam")
@@ -78,6 +87,12 @@ class TrainConfig:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
         if self.pooling_kind not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling_kind!r}; choose from {POOLINGS}")
+        for f in fields(self):
+            key = f.name.removeprefix("pooling_")
+            if (f.name.startswith("pooling_") and key not in ("kind", *POOLING_KEYS[self.pooling_kind])
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"pooling.{key} = {getattr(self, f.name)!r} is not read by "
+                                 f"pooling.kind = {self.pooling_kind}; remove it")
         if self.upsample_kind not in UPSAMPLES:
             raise ValueError(f"unknown upsample {self.upsample_kind!r}; choose from {UPSAMPLES}")
         if self.pooling_init not in INITS:

@@ -16,6 +16,7 @@ variants can be compared on identical starting points and batches.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -81,7 +82,8 @@ def _mlp_slot(cfg: TrainConfig, name: str, specs, dtype=np.float32):
 
 
 def make_pooling_slot(cfg: TrainConfig, name: str, channels: int, dtype=np.float32) -> list[Layer]:
-    """Layers implementing one pooling slot (net 2x spatial reduction)."""
+    """Layers implementing one pooling slot (a 2x spatial reduction, unless
+    pooling.window/stride/units give another)."""
     kind = cfg.pooling_kind
     if kind == "max":
         return [FixedPool("max", 2, 2, name=name)]
@@ -128,22 +130,24 @@ def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
     in_ch, side, blocks = _ARCH[cfg.model]
     layers: list[Layer] = []
     slots: dict[str, list[Layer]] = {}
-    ch, hw = in_ch, side
+    shape = (in_ch, side, side)
     for i, block in enumerate(blocks, start=1):
-        layers.append(Conv2d(ch, block.out_channels, kernel=3, stride=1, pad=1,
+        layers.append(Conv2d(shape[0], block.out_channels, kernel=3, stride=1, pad=1,
                              rng=rng_for(cfg.seed, f"conv{i}"), dtype=dtype, name=f"conv{i}"))
         if block.batchnorm:
             layers.append(BatchNorm2d(block.out_channels, dtype=dtype, name=f"bn{i}"))
         layers.append(ReLU(name=f"relu{i}"))
         slot_layers = make_pooling_slot(cfg, f"pool{i}", block.out_channels, dtype)
+        # One forward of a zero sample binds the perceptron layers and gives
+        # the slot's real output shape (a multi-unit slot may not halve it).
+        x = np.zeros((1, block.out_channels, *shape[1:]), dtype=dtype)
         for sl in slot_layers:
-            if isinstance(sl, (PerceptronPool, MlpPoolStack)):
-                sl.bind(block.out_channels, hw, hw)
+            x = sl.forward(x, train=False)
         layers.extend(slot_layers)
         slots[f"pool{i}"] = slot_layers
-        ch, hw = block.out_channels, hw // 2
+        shape = x.shape[1:]
     layers.append(Flatten())
-    layers.append(Dense(ch * hw * hw, cfg.num_classes,
+    layers.append(Dense(math.prod(shape), cfg.num_classes,
                         rng=rng_for(cfg.seed, "fc"), dtype=dtype, name="fc"))
     model = Sequential(layers, name=cfg.model)
     model.slots = slots

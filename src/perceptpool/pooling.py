@@ -15,9 +15,12 @@ depth-to-space rearrangement ("pixel shuffle") of Shi et al. 2016
 (arXiv 1609.05158), with the units as the depth axis. With four units and
 stride two the output tensor keeps the input's spatial size, so further
 perceptron layers can be stacked on top, forming a small MLP inside the
-network (MlpPoolStack). Run at stride 1 over a zero-padded input, u*u units
-expand every position into a u x u block instead: a learned u-times
-upscaling (PerceptronUpsample).
+network (MlpPoolStack). When the next layer's window and stride equal the
+block, each of its windows is exactly one unit block, so an aligned stack
+is a per-window MLP chained on the unit outputs: only its first layer
+reads im2col columns and only its output is restructured. Run at stride 1
+over a zero-padded input, u*u units expand every position into a u x u
+block instead: a learned u-times upscaling (PerceptronUpsample).
 
 Weight sharing variants control how many independent perceptron instances
 are created:
@@ -200,30 +203,24 @@ class _PerceptronWindowLayer(Layer):
         bias = np.einsum(f"{sub}->{order}", self.bias.reshape(*self._bound_key, self.units))
         return np.expand_dims(bias, [p for p, label in enumerate("kbcij") if label not in sub])
 
-    def _window_forward(self, cols, in_shape, train):
-        """Restructured output from the im2col columns (wh, ww, B, C, oH, oW)."""
+    def _units_forward(self, cols, in_shape, train):
+        """Unit outputs (units, B, C, oH, oW) from columns (wh*ww, B, C, oH, oW)."""
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
-        cols = cols.reshape(-1, *cols.shape[2:])
         weights = self.weights.reshape(*self._bound_key, self.units, -1)
         pre = np.einsum(f"rbcij,{sub}->kbcij", cols, weights, optimize=self._matmul)
         if self.bias is not None:
             pre += self._bias_view()
         relu = self.activation == "relu"
         self._saved = (in_shape, cols, pre if relu else None) if train else None
-        return restructure(np.moveaxis(np.maximum(pre, 0) if relu else pre, 0, 2), self.block)
+        return np.maximum(pre, 0) if relu else pre
 
-    def _window_backward(self, grad_out):
-        """Accumulate parameter gradients; return the gradient of the im2col
-        columns (wh, ww, B, C, oH, oW) and the forward's input shape."""
+    def _units_backward(self, grad_units):
+        """Accumulate parameter gradients from the unit-output gradient
+        (units, B, C, oH, oW), which is overwritten; return the column
+        gradient (wh*ww, B, C, oH, oW)."""
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
-        in_shape, cols, pre = self._saved
-        if grad_out.shape != self.output_shape(in_shape):
-            raise ValueError(
-                f"{self.name}: grad_out shape {grad_out.shape} does not match forward output "
-                f"{self.output_shape(in_shape)}"
-            )
-        grad_units = np.moveaxis(unrestructure(grad_out, self.block), 2, 0)
+        _, cols, pre = self._saved
         if pre is not None:
             grad_units *= pre > 0
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
@@ -233,7 +230,25 @@ class _PerceptronWindowLayer(Layer):
         if self.bias is not None:
             self.bias_grad += np.einsum(f"kbcij->{sub[:-1]}", grad_units).reshape(self.bias.shape)
         # Units first: einsum's matmul route then writes the columns contiguously.
-        grad_cols = np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self._matmul)
+        return np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self._matmul)
+
+    def _window_forward(self, cols, in_shape, train):
+        """Restructured output from the im2col columns (wh, ww, B, C, oH, oW)."""
+        units = self._units_forward(cols.reshape(-1, *cols.shape[2:]), in_shape, train)
+        return restructure(np.moveaxis(units, 0, 2), self.block)
+
+    def _window_backward(self, grad_out):
+        """Accumulate parameter gradients; return the gradient of the im2col
+        columns (wh, ww, B, C, oH, oW) and the forward's input shape."""
+        if self._saved is None:
+            raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
+        in_shape = self._saved[0]
+        if grad_out.shape != self.output_shape(in_shape):
+            raise ValueError(
+                f"{self.name}: grad_out shape {grad_out.shape} does not match forward output "
+                f"{self.output_shape(in_shape)}"
+            )
+        grad_cols = self._units_backward(np.moveaxis(unrestructure(grad_out, self.block), 2, 0))
         return grad_cols.reshape(*self.window, *grad_cols.shape[1:]), in_shape
 
     def kink_margin(self):
@@ -332,7 +347,14 @@ class PerceptronUpsample(_PerceptronWindowLayer):
 
 class MlpPoolStack(Layer):
     """Ordered perceptron pooling layers whose restructured outputs feed the
-    next layer, e.g. NN-4-1 = [4 units of 2x2/2, 1 unit of 2x2/2]."""
+    next layer, e.g. NN-4-1 = [4 units of 2x2/2, 1 unit of 2x2/2].
+
+    A layer whose window and stride equal the previous layer's block is
+    aligned: it reads the previous unit outputs as its columns, so an
+    aligned stack (as every model builds) is a per-window MLP chained on
+    unit outputs. Only the first layer, a misaligned layer and the stack
+    output go through im2col and depth-to-space.
+    """
 
     def __init__(self, layers: list[PerceptronPool], name: str = "mlppool"):
         if not layers:
@@ -342,6 +364,11 @@ class MlpPoolStack(Layer):
         for i, layer in enumerate(self.layers):
             if not layer.name or layer.name.startswith("ppool"):
                 layer.name = f"{name}.{i}"
+
+    def _aligned(self, i: int) -> bool:
+        """Whether layer i's windows are exactly the previous layer's unit blocks."""
+        q = self.layers[i - 1].block
+        return i > 0 and self.layers[i].window == (q, q) and self.layers[i].stride == q
 
     def bind(self, channels, height, width):
         shape = (1, channels, height, width)
@@ -359,16 +386,32 @@ class MlpPoolStack(Layer):
         return shape
 
     def forward(self, x, train: bool = True):
+        self.bind(*x.shape[1:])
+        shape, units = x.shape, None
         for i, layer in enumerate(self.layers):
-            try:
-                x = layer.forward(x, train)
-            except ValueError as e:
-                raise ValueError(f"{self.name}: shape chain broken at layer {i}: {e}") from None
-        return x
+            if not self._aligned(i):
+                if units is not None:
+                    x = restructure(np.moveaxis(units, 0, 2), self.layers[i - 1].block)
+                units = im2col(x, *layer.window, layer.stride)
+                units = units.reshape(-1, *units.shape[2:])
+            units = layer._units_forward(units, shape, train)
+            shape = layer.output_shape(shape)
+        return restructure(np.moveaxis(units, 0, 2), layer.block)
 
     def backward(self, grad_out):
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
+        grad_units = None
+        for i in reversed(range(len(self.layers))):
+            layer = self.layers[i]
+            if grad_units is None:  # checks the training state and grad_out's shape
+                grad_cols = layer._window_backward(grad_out)[0]
+            else:
+                grad_cols = layer._units_backward(grad_units)
+            # (wh, ww, B, C, oH, oW) or (wh*ww, B, C, oH, oW)
+            if self._aligned(i):
+                grad_units = grad_cols.reshape(-1, *grad_cols.shape[-4:])
+            else:
+                cols = grad_cols.reshape(*layer.window, *grad_cols.shape[-4:])
+                grad_out, grad_units = col2im(cols, layer._saved[0], layer.stride), None
         return grad_out
 
     def param_groups(self):

@@ -182,26 +182,49 @@ def save_checkpoint(path, model: Sequential, cfg: TrainConfig) -> None:
             write_tensor(f, _as_rank4(np.asarray(arr, dtype=np.float32)))
 
 
+def _read_exact(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated {what}: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def load_checkpoint(path) -> tuple[Sequential, TrainConfig]:
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<Q", f.read(8))
-        cfg = parse_config(f.read(cfg_len).decode())
-        (count,) = struct.unpack("<Q", f.read(8))
-        model = build_model(cfg)
-        tensors = model.state_tensors()
-        if count != len(tensors):
-            raise ValueError(f"{path}: {count} tensors recorded, model has {len(tensors)}")
-        for name, arr in tensors:
+    """Rebuild the stored model; any malformed content raises a ValueError
+    that starts with the path."""
+    try:
+        with open(path, "rb") as f:
+            return _read_checkpoint(f)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _read_checkpoint(f) -> tuple[Sequential, TrainConfig]:
+    magic = f.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a checkpoint (bad magic {magic!r})")
+    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    (cfg_len,) = struct.unpack("<Q", _read_exact(f, 8, "config length"))
+    blob = _read_exact(f, cfg_len, "config")
+    try:
+        cfg = parse_config(blob.decode())
+    except ValueError as e:
+        raise ValueError(f"config: {e}") from None
+    (count,) = struct.unpack("<Q", _read_exact(f, 8, "tensor count"))
+    model = build_model(cfg)
+    tensors = model.state_tensors()
+    if count != len(tensors):
+        raise ValueError(f"{count} tensors recorded, model has {len(tensors)}")
+    for name, arr in tensors:
+        try:
             stored = read_tensor(f, dtype=np.float32)
-            if stored.size != arr.size:
-                raise ValueError(f"{path}: size mismatch for {name}")
-            arr[...] = stored.reshape(arr.shape).astype(arr.dtype)
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
+        if stored.size != arr.size:
+            raise ValueError(f"size mismatch for {name}")
+        arr[...] = stored.reshape(arr.shape).astype(arr.dtype)
     return model, cfg
 
 

@@ -35,6 +35,13 @@ class TestGradcheckCommand:
         with pytest.raises(ValueError, match="unknown layer"):
             main(["gradcheck", "--layer", "wavelet"])
 
+    def test_stack_spec_passes_sharing(self, capsys):
+        stack, _ = build_check_layer("nn_16_1:sharing=per_field,activation=relu")
+        assert [layer.sharing.value for layer in stack.layers] == ["per_field", "per_field"]
+        assert [layer.activation for layer in stack.layers] == ["relu", "relu"]
+        assert main(["gradcheck", "--layer", "nn_16_1:sharing=per_field,activation=relu"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_spec_options_change_construction(self):
         layer, _ = build_check_layer("perceptron:sharing=per_field,units=4,activation=relu")
         assert layer.units == 4

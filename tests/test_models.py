@@ -1,10 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from perceptpool.config import POOLINGS, TrainConfig, parse_config
+from perceptpool.config import POOLINGS, TrainConfig, load_config, parse_config
 from perceptpool.layers import Conv2d
 from perceptpool.models import audit_params, build_model, rng_for
 from perceptpool.pooling import PerceptronPool
+
+
+NON_DEFAULT_POOLING = {"window": 4, "stride": 4, "units": 4, "sharing": "per_field",
+                       "activation": "relu", "use_bias": "false", "lr_factor": 0.5,
+                       "wd_factor": 0.01, "init": "glorot"}
+_ALL = tuple(NON_DEFAULT_POOLING)
+UNREAD_POOLING_KEYS = {
+    "max": _ALL, "average": _ALL, "strided_conv": _ALL,
+    "perceptron": ("sharing",), "nn_z": ("sharing",), "nn_field": ("sharing",),
+    "nn_tensor": ("sharing",),
+    "nn_4_1": ("window", "stride", "units", "sharing"),
+    "nn_16_1": ("window", "stride", "units", "sharing"),
+}
 
 
 class TestConfig:
@@ -27,11 +42,11 @@ class TestConfig:
         assert cfg.schedule_epochs == (2, 4)
 
     def test_short_key_spellings(self):
-        cfg = parse_config("optimizer = sgd\nlr = 0.1\ninit = pattern\npooling = average\n")
+        cfg = parse_config("optimizer = sgd\nlr = 0.1\ninit = pattern\npooling = nn_4_1\n")
         assert cfg.optimizer_kind == "sgd"
         assert cfg.optimizer_lr == 0.1
         assert cfg.pooling_init == "pattern"
-        assert cfg.pooling_kind == "average"
+        assert cfg.pooling_kind == "nn_4_1"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -40,6 +55,26 @@ class TestConfig:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(pooling_kind="wavelet")
+
+    @pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in UNREAD_POOLING_KEYS.items()
+                                          for key in keys])
+    def test_unread_pooling_key_rejected(self, kind, key):
+        with pytest.raises(ValueError, match=f"pooling.{key} = .* not read by pooling.kind = {kind}"):
+            parse_config(f"pooling.kind = {kind}\npooling.{key} = {NON_DEFAULT_POOLING[key]}\n")
+
+    @pytest.mark.parametrize("kind", POOLINGS)
+    def test_read_pooling_keys_accepted(self, kind):
+        read = [key for key in NON_DEFAULT_POOLING if key not in UNREAD_POOLING_KEYS[kind]]
+        cfg = parse_config(f"pooling.kind = {kind}\n"
+                           + "".join(f"pooling.{key} = {NON_DEFAULT_POOLING[key]}\n" for key in read))
+        # checkpoints echo every key, the unread ones at their defaults
+        assert parse_config(cfg.to_text()) == cfg
+
+    def test_shipped_configs_parse(self):
+        paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+        assert paths
+        for path in paths:
+            load_config(path)
 
 
 class TestBuildModel:
@@ -71,6 +106,17 @@ class TestBuildModel:
         base = seeds.pop("average")
         for pooling, w in seeds.items():
             assert np.array_equal(base, w), pooling
+
+    def test_multi_unit_slot_sizes_the_layers_after_it(self):
+        # four units at stride two keep the spatial size, so neither the next
+        # slot nor the classifier may assume a halving
+        cfg = TrainConfig(model="model_c_like", pooling_kind="perceptron", pooling_units=4,
+                          data_kind="cifar10")
+        model = build_model(cfg)
+        x = np.random.default_rng(5).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        out = model.forward(x)
+        assert out.shape == (2, 10)
+        assert model.backward(np.ones_like(out)).shape == x.shape
 
     def test_rng_for_is_stable(self):
         a = rng_for(3, "conv1").normal(size=4)

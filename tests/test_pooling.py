@@ -272,7 +272,12 @@ class TestMlpStack:
             stack.forward(np.zeros((1, 1, 8, 8)))
 
     def test_stack_gradients(self):
-        for stack in (nn_4_1(), nn_16_1()):
+        rng = np.random.default_rng(18)
+        for stack in (nn_4_1(), nn_16_1(),
+                      nn_4_1(activation="relu", init="glorot", rng=rng),
+                      nn_16_1(activation="relu", init="glorot", rng=rng),
+                      nn_4_1(sharing=Sharing.PER_FIELD, init="glorot", rng=rng),
+                      nn_16_1(sharing=Sharing.PER_FIELD, init="glorot", rng=rng)):
             report = check_layer(stack, (1, 2, 8, 8), seed=17, tolerance=1e-4)
             assert report.passed, report.format()
 
@@ -284,6 +289,59 @@ class TestMlpStack:
         for layer in stack.layers:
             factor *= layer.stride / layer.block
         assert out.shape[2] == int(16 / factor)
+
+
+STACK_SPECS = {  # (units, window, stride) per layer
+    "nn_4_1": [(4, 2, 2), (1, 2, 2)],
+    "nn_16_1": [(16, 2, 2), (1, 4, 4)],
+    "three_layers": [(4, 2, 2), (4, 2, 2), (1, 2, 2)],
+    "misaligned": [(1, 2, 2), (1, 2, 2)],
+}
+
+
+class TestStackMatchesComposition:
+    """MlpPoolStack chains aligned layers on unit outputs; running its own
+    layers one by one through PerceptronPool.forward/backward (depth-to-space
+    and im2col between every pair) must give the same numbers."""
+
+    @pytest.mark.parametrize("sharing", list(Sharing))
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("spec", list(STACK_SPECS))
+    def test_outputs_and_gradients(self, spec, activation, sharing):
+        rng = np.random.default_rng(22)
+        stack = MlpPoolStack([
+            PerceptronPool(window, stride, units=units, sharing=sharing, activation=activation,
+                           init="glorot", rng=rng, dtype=np.float64)
+            for units, window, stride in STACK_SPECS[spec]
+        ])
+        stack.bind(3, 8, 8)
+        for layer in stack.layers:
+            layer.bias[...] = rng.normal(scale=0.3, size=layer.bias.shape)
+        x = rng.normal(size=(2, 3, 8, 8))
+        out = stack.forward(x)
+        grad_out = rng.normal(size=out.shape)
+        grad_x = stack.backward(grad_out)
+        chained = [(layer.weights_grad.copy(), layer.bias_grad.copy()) for layer in stack.layers]
+
+        stack.zero_grad()
+        composed = x
+        for layer in stack.layers:
+            composed = layer.forward(composed)
+        grad_composed = grad_out
+        for layer in reversed(stack.layers):
+            grad_composed = layer.backward(grad_composed)
+
+        np.testing.assert_allclose(out, composed, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(grad_x, grad_composed, atol=1e-12, rtol=0)
+        for layer, (weights_grad, bias_grad) in zip(stack.layers, chained):
+            np.testing.assert_allclose(weights_grad, layer.weights_grad, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(bias_grad, layer.bias_grad, atol=1e-12, rtol=0)
+
+    def test_grad_out_shape_checked(self):
+        stack = nn_16_1()
+        stack.forward(np.zeros((1, 1, 8, 8)))
+        with pytest.raises(ValueError, match="grad_out shape"):
+            stack.backward(np.zeros((1, 1, 8, 8)))
 
 
 class TestUpsample:

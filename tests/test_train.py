@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,30 @@ class TestCheckpoints:
         bad.write_bytes(raw[:-10])
         with pytest.raises(ValueError):
             load_checkpoint(bad)
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(path, build_model(cfg), cfg)
+        raw = path.read_bytes()
+        blob_len = len(cfg.to_text().encode())
+        config_end = 8 + 4 + 8 + blob_len
+        cuts = {  # byte offset inside each section of the file
+            "magic": 3,
+            "version": 8 + 2,
+            "config length": 8 + 4 + 5,
+            "config": 8 + 4 + 8 + blob_len // 2,
+            "tensor count": config_end + 4,
+            "tensor header": config_end + 8 + 16,
+            "tensor payload": config_end + 8 + 32 + 2,
+        }
+        for section, cut in cuts.items():
+            bad = tmp_path / f"cut_{cut}.ckpt"
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: ")) as err:
+                load_checkpoint(bad)
+            if section != "magic":
+                assert f"truncated {section}" in str(err.value), (section, err.value)
 
     def test_state_includes_batchnorm_running_stats(self, tmp_path):
         cfg = TrainConfig(model="model_a_like", pooling_kind="average", data_kind="synth",
