@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import POOLING_KINDS, load_config
 from .data import DATA_ROOT_ENV
 from .gradcheck import check_layer
 from .layers import BatchNorm2d, Conv2d, Dense, FixedPool, ReLU
@@ -61,11 +61,10 @@ def build_check_layer(spec: str):
         return layer, (2, 3, 6, 6)
     if name == "gap_perceptron":
         return PerceptronPool(window=8, stride=8, lr_factor=1e-3, dtype=f64), (2, 2, 8, 8)
-    if name in ("nn_4_1", "nn_16_1"):
-        q = 2 if name == "nn_4_1" else 4
+    if POOLING_KINDS.get(name) and POOLING_KINDS[name][1]:  # nn_4_1, nn_16_1
         stack = MlpPoolStack([
-            PerceptronPool(2, 2, units=q * q, sharing=sharing, activation=activation, dtype=f64),
-            PerceptronPool(q, q, units=1, sharing=sharing, activation=activation, dtype=f64),
+            PerceptronPool(w, s, units=u, sharing=sharing, activation=activation, dtype=f64)
+            for u, w, s in POOLING_KINDS[name][1]
         ])
         return stack, (2, 2, 8, 8)
     if name == "upsample":

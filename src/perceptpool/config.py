@@ -15,29 +15,45 @@ Example::
 Unknown keys are rejected. `TrainConfig.to_text` emits every field (defaults
 included) in a stable order, which is what gets echoed into metrics files
 and checkpoints for provenance.
+
+`POOLING_KINDS` is the one table of pooling kinds: what each builds (see
+models.make_pooling_slot) and so which `pooling.*` keys it reads. A key the
+chosen kind does not read must keep its default, so no setting is silently
+ignored. The retired keys `pooling.sharing`, `upsample.kind` and
+`upsample.units` were read by nothing; older echoes still load because their
+one echoed value is skipped, and any other value is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .pooling import ACTIVATIONS, Sharing
+
 MODELS = ("model_a_like", "model_c_like", "tiny_synth")
-# The pooling.* keys each pooling kind reads (see models.make_pooling_slot).
-# Every other pooling key must keep its default, so that no setting is
-# silently ignored; defaults still load because checkpoints echo every key.
-_NEURON_KEYS = ("activation", "use_bias", "lr_factor", "wd_factor", "init")
-_WINDOW_KEYS = ("window", "stride", "units", *_NEURON_KEYS)
-POOLING_KEYS = {
-    "max": (), "average": (), "strided_conv": (),
-    "perceptron": _WINDOW_KEYS, "nn_4_1": _NEURON_KEYS, "nn_16_1": _NEURON_KEYS,
-    "nn_z": _WINDOW_KEYS, "nn_field": _WINDOW_KEYS, "nn_tensor": _WINDOW_KEYS,
+# kind -> None for the fixed and strided-convolution baselines, or
+# (sharing mode, specs): specs None builds one PerceptronPool from
+# pooling.units/window/stride, a tuple of (units, window, stride) builds an
+# MlpPoolStack of those layers.
+POOLING_KINDS = {
+    "max": None, "average": None, "strided_conv": None,
+    "perceptron": (Sharing.GLOBAL, None),
+    "nn_4_1": (Sharing.GLOBAL, ((4, 2, 2), (1, 2, 2))),
+    "nn_16_1": (Sharing.GLOBAL, ((16, 2, 2), (1, 4, 4))),
+    "nn_z": (Sharing.PER_CHANNEL, None),
+    "nn_field": (Sharing.PER_FIELD, None),
+    "nn_tensor": (Sharing.PER_TENSOR, None),
 }
-POOLINGS = tuple(POOLING_KEYS)
-UPSAMPLES = ("", "transpose_like", "nn_up")
+POOLINGS = tuple(POOLING_KINDS)
+_NEURON_KEYS = ("activation", "use_bias", "lr_factor", "wd_factor", "init")
+_WINDOW_KEYS = ("window", "stride", "units")
 INITS = ("average", "pattern", "glorot")
 OPTIMIZERS = ("sgd", "adam")
 DATA_KINDS = ("synth", "cifar10")
+# Retired keys and the one value every older echo carries.
+RETIRED = {"pooling.sharing": "global", "upsample.kind": "", "upsample.units": "4"}
 
 
 @dataclass
@@ -50,15 +66,11 @@ class TrainConfig:
     pooling_window: int = 2
     pooling_stride: int = 2
     pooling_units: int = 1
-    pooling_sharing: str = "global"
     pooling_activation: str = "identity"
     pooling_use_bias: bool = True
     pooling_lr_factor: float = 0.1
     pooling_wd_factor: float = 0.0
     pooling_init: str = "average"
-
-    upsample_kind: str = ""
-    upsample_units: int = 4
 
     optimizer_kind: str = "adam"
     optimizer_lr: float = 1e-3
@@ -87,16 +99,25 @@ class TrainConfig:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
         if self.pooling_kind not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling_kind!r}; choose from {POOLINGS}")
+        entry = POOLING_KINDS[self.pooling_kind]
+        read = () if entry is None else _NEURON_KEYS + (() if entry[1] else _WINDOW_KEYS)
         for f in fields(self):
             key = f.name.removeprefix("pooling_")
-            if (f.name.startswith("pooling_") and key not in ("kind", *POOLING_KEYS[self.pooling_kind])
+            if (f.name.startswith("pooling_") and key not in ("kind", *read)
                     and getattr(self, f.name) != f.default):
                 raise ValueError(f"pooling.{key} = {getattr(self, f.name)!r} is not read by "
                                  f"pooling.kind = {self.pooling_kind}; remove it")
-        if self.upsample_kind not in UPSAMPLES:
-            raise ValueError(f"unknown upsample {self.upsample_kind!r}; choose from {UPSAMPLES}")
-        if self.pooling_init not in INITS:
-            raise ValueError(f"unknown init {self.pooling_init!r}; choose from {INITS}")
+        units = self.pooling_units
+        for key, ok, rule in (
+                ("window", self.pooling_window >= 1, ">= 1"),
+                ("stride", self.pooling_stride >= 1, ">= 1"),
+                ("units", units >= 1 and math.isqrt(units) ** 2 == units, "a perfect square"),
+                ("lr_factor", self.pooling_lr_factor >= 0, ">= 0"),
+                ("wd_factor", self.pooling_wd_factor >= 0, ">= 0"),
+                ("activation", self.pooling_activation in ACTIVATIONS, f"one of {ACTIVATIONS}"),
+                ("init", self.pooling_init in INITS, f"one of {INITS}")):
+            if not ok:
+                raise ValueError(f"pooling.{key} must be {rule}, got {getattr(self, 'pooling_' + key)!r}")
         if self.optimizer_kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer_kind!r}")
         if self.data_kind not in DATA_KINDS:
@@ -129,7 +150,6 @@ _KEYMAP = {(f.name.replace("_", ".", 1) if "_" in f.name else f.name): f.name fo
 # Short spellings accepted on input; to_text always emits the dotted form.
 _KEYMAP.update({
     "pooling": "pooling_kind",
-    "upsample": "upsample_kind",
     "optimizer": "optimizer_kind",
     "data": "data_kind",
     "init": "pooling_init",
@@ -169,6 +189,11 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key in RETIRED:
+            if raw != RETIRED[key]:
+                raise ValueError(f"line {lineno}: {key} is retired; only its old default "
+                                 f"{RETIRED[key]!r} still loads, got {raw!r}")
+            continue
         if key not in _KEYMAP:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         name = _KEYMAP[key]

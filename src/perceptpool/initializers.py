@@ -128,27 +128,14 @@ def average_init(layer) -> None:
         layer.bias[...] = 0.0
 
 
-def pattern_init(layer, rng: np.random.Generator) -> None:
-    """Sign-pattern init for single-perceptron layers (one unit per instance)."""
-    if layer.units != 1:
-        raise ValueError("pattern_init expects units == 1; use pattern_init_multi")
-    wh, ww = layer.window
-    for u in range(layer.weights.shape[0]):
-        pat = random_sign_pattern(rng, wh, ww)
-        layer.weights[u, 0] = pat.signs * _pattern_magnitudes(rng, wh, ww)
-    if layer.bias is not None:
-        layer.bias[...] = 0.0
-
-
 def pattern_init_multi(layer, rng: np.random.Generator) -> None:
-    """Sign-pattern init for several perceptrons in one layer.
+    """Sign-pattern init for the perceptrons of one layer.
 
     A base pattern's rotations/mirrors are handed to successive units; when
     the (at most 8) distinct transforms run out a fresh base pattern is
     drawn. Repeats are only allowed once the window admits no unused grid.
+    A single unit gets its base pattern as drawn.
     """
-    if layer.units < 2:
-        raise ValueError("pattern_init_multi expects units >= 2")
     wh, ww = layer.window
     for u in range(layer.weights.shape[0]):
         seen: set[bytes] = set()
@@ -182,18 +169,13 @@ def pattern_init_multi(layer, rng: np.random.Generator) -> None:
 
 def apply_pool_init(layer, scheme: str, rng: np.random.Generator | None) -> None:
     """Dispatch on the config key init = glorot | average | pattern."""
-    if scheme in (None, "none"):
-        return
     if scheme == "average":
         average_init(layer)
         return
     if rng is None:
         raise ValueError(f"init scheme {scheme!r} needs an rng")
     if scheme == "pattern":
-        if layer.units == 1:
-            pattern_init(layer, rng)
-        else:
-            pattern_init_multi(layer, rng)
+        pattern_init_multi(layer, rng)
     elif scheme == "glorot":
         wh, ww = layer.window
         layer.weights[...] = glorot_uniform(

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import POOLING_KINDS, TrainConfig
 from .layers import BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU
-from .pooling import MlpPoolStack, PerceptronPool, Sharing, param_count
+from .pooling import MlpPoolStack, PerceptronPool, param_count
 
 
 class Sequential(Layer):
@@ -59,54 +59,31 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(name.encode()))))
 
 
-def _perceptron_slot(cfg: TrainConfig, name: str, sharing=Sharing.GLOBAL, dtype=np.float32):
-    return PerceptronPool(
-        window=cfg.pooling_window, stride=cfg.pooling_stride, units=cfg.pooling_units,
-        sharing=sharing, use_bias=cfg.pooling_use_bias, activation=cfg.pooling_activation,
-        lr_factor=cfg.pooling_lr_factor, wd_factor=cfg.pooling_wd_factor,
-        init=cfg.pooling_init, rng=rng_for(cfg.seed, name), dtype=dtype, name=name,
-    )
-
-
-def _mlp_slot(cfg: TrainConfig, name: str, specs, dtype=np.float32):
-    layers = []
-    for i, (units, window, stride) in enumerate(specs):
-        layers.append(PerceptronPool(
-            window=window, stride=stride, units=units, sharing=Sharing.GLOBAL,
-            use_bias=cfg.pooling_use_bias, activation=cfg.pooling_activation,
-            lr_factor=cfg.pooling_lr_factor, wd_factor=cfg.pooling_wd_factor,
-            init=cfg.pooling_init, rng=rng_for(cfg.seed, f"{name}.{i}"),
-            dtype=dtype, name=f"{name}.{i}",
-        ))
-    return MlpPoolStack(layers, name=name)
-
-
 def make_pooling_slot(cfg: TrainConfig, name: str, channels: int, dtype=np.float32) -> list[Layer]:
-    """Layers implementing one pooling slot (a 2x spatial reduction, unless
-    pooling.window/stride/units give another)."""
-    kind = cfg.pooling_kind
-    if kind == "max":
-        return [FixedPool("max", 2, 2, name=name)]
-    if kind == "average":
-        return [FixedPool("average", 2, 2, name=name)]
-    if kind == "strided_conv":
+    """Layers implementing one pooling slot, as config.POOLING_KINDS defines
+    it (a 2x spatial reduction, unless pooling.window/stride/units give
+    another)."""
+    if cfg.pooling_kind == "strided_conv":
         # The strided-convolution baseline performs best with its ReLU kept.
         conv = Conv2d(channels, channels, kernel=2, stride=2, pad=0,
                       rng=rng_for(cfg.seed, name), dtype=dtype, name=name)
         return [conv, ReLU(name=f"{name}.relu")]
-    if kind == "perceptron":
-        return [_perceptron_slot(cfg, name, dtype=dtype)]
-    if kind == "nn_4_1":
-        return [_mlp_slot(cfg, name, [(4, 2, 2), (1, 2, 2)], dtype)]
-    if kind == "nn_16_1":
-        return [_mlp_slot(cfg, name, [(16, 2, 2), (1, 4, 4)], dtype)]
-    if kind == "nn_z":
-        return [_perceptron_slot(cfg, name, Sharing.PER_CHANNEL, dtype)]
-    if kind == "nn_field":
-        return [_perceptron_slot(cfg, name, Sharing.PER_FIELD, dtype)]
-    if kind == "nn_tensor":
-        return [_perceptron_slot(cfg, name, Sharing.PER_TENSOR, dtype)]
-    raise ValueError(f"unknown pooling kind {kind!r}")
+    if POOLING_KINDS[cfg.pooling_kind] is None:
+        return [FixedPool(cfg.pooling_kind, 2, 2, name=name)]
+    sharing, specs = POOLING_KINDS[cfg.pooling_kind]
+
+    def perceptron(units, window, stride, layer_name):
+        return PerceptronPool(
+            window=window, stride=stride, units=units, sharing=sharing,
+            use_bias=cfg.pooling_use_bias, activation=cfg.pooling_activation,
+            lr_factor=cfg.pooling_lr_factor, wd_factor=cfg.pooling_wd_factor,
+            init=cfg.pooling_init, rng=rng_for(cfg.seed, layer_name), dtype=dtype, name=layer_name,
+        )
+
+    if specs is None:
+        return [perceptron(cfg.pooling_units, cfg.pooling_window, cfg.pooling_stride, name)]
+    return [MlpPoolStack([perceptron(*spec, f"{name}.{i}") for i, spec in enumerate(specs)],
+                         name=name)]
 
 
 @dataclass(frozen=True)
@@ -125,8 +102,6 @@ _ARCH = {
 
 def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
     """Construct, bind and initialize the configured model."""
-    if cfg.upsample_kind:
-        raise ValueError(f"model {cfg.model!r} has no upsampling slot; unset upsample.kind")
     in_ch, side, blocks = _ARCH[cfg.model]
     layers: list[Layer] = []
     slots: dict[str, list[Layer]] = {}
@@ -141,8 +116,12 @@ def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
         # One forward of a zero sample binds the perceptron layers and gives
         # the slot's real output shape (a multi-unit slot may not halve it).
         x = np.zeros((1, block.out_channels, *shape[1:]), dtype=dtype)
-        for sl in slot_layers:
-            x = sl.forward(x, train=False)
+        try:
+            for sl in slot_layers:
+                x = sl.forward(x, train=False)
+        except ValueError as e:  # a window/stride pair that does not tile this input
+            raise ValueError(f"pooling.window = {cfg.pooling_window}, "
+                             f"pooling.stride = {cfg.pooling_stride}: {e}") from None
         layers.extend(slot_layers)
         slots[f"pool{i}"] = slot_layers
         shape = x.shape[1:]

@@ -8,6 +8,7 @@ payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import BinaryIO
 
@@ -30,18 +31,22 @@ def write_tensor(f: BinaryIO, t: np.ndarray) -> None:
     f.write(np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<")).tobytes())
 
 
+def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    """Read n bytes, checking a stated length against the bytes left in the
+    file first, so a corrupt length field fails before anything is allocated."""
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if n > left:
+        raise ValueError(f"truncated {what}: wanted {n} bytes, {left} left")
+    return f.read(n)
+
+
 def read_tensor(f: BinaryIO, dtype=np.float32) -> np.ndarray:
     """Inverse of write_tensor. The element width is supplied by the caller."""
-    header = f.read(_DIMS_STRUCT.size)
-    if len(header) != _DIMS_STRUCT.size:
-        raise ValueError("truncated tensor header")
-    dims = _DIMS_STRUCT.unpack(header)
+    dims = _DIMS_STRUCT.unpack(read_exact(f, _DIMS_STRUCT.size, "tensor header"))
     if any(d < 1 for d in dims):
         raise ValueError(f"invalid dims {dims}")
-    n = dims[0] * dims[1] * dims[2] * dims[3]
-    itemsize = np.dtype(dtype).itemsize
-    payload = f.read(n * itemsize)
-    if len(payload) != n * itemsize:
-        raise ValueError(f"truncated tensor payload: wanted {n * itemsize} bytes, got {len(payload)}")
+    payload = read_exact(f, math.prod(dims) * np.dtype(dtype).itemsize, "tensor payload")
     arr = np.frombuffer(payload, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype)
     return arr.reshape(dims)

@@ -22,7 +22,7 @@ from .config import TrainConfig, parse_config
 from .models import Sequential, build_model
 from .layers import softmax_xent
 from .optim import StepSchedule, make_optimizer
-from .tensor import read_tensor, write_tensor
+from .tensor import read_exact, read_tensor, write_tensor
 
 CHECKPOINT_MAGIC = b"PPOOLCK1"
 CHECKPOINT_VERSION = 1
@@ -78,12 +78,19 @@ def evaluate_model(model: Sequential, x: np.ndarray, y: np.ndarray, batch_size: 
 
 
 def _diagnose_nonfinite(model: Sequential, batch: np.ndarray) -> str:
-    x = batch
-    for i, layer in enumerate(model.layers):
-        x = layer.forward(x, train=True)
-        if not np.all(np.isfinite(x)):
-            return f"layer {i} ({layer.name or type(layer).__name__})"
-    return "loss"
+    """First layer whose output is non-finite, rerun in train mode (batch
+    statistics) and leaving the model's state tensors as they were."""
+    saved = [arr.copy() for _, arr in model.state_tensors()]
+    try:
+        x = batch
+        for i, layer in enumerate(model.layers):
+            x = layer.forward(x, train=True)
+            if not np.all(np.isfinite(x)):
+                return f"layer {i} ({layer.name or type(layer).__name__})"
+        return "loss"
+    finally:
+        for (_, arr), old in zip(model.state_tensors(), saved):
+            arr[...] = old
 
 
 @dataclass
@@ -182,13 +189,6 @@ def save_checkpoint(path, model: Sequential, cfg: TrainConfig) -> None:
             write_tensor(f, _as_rank4(np.asarray(arr, dtype=np.float32)))
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated {what}: wanted {n} bytes, got {len(data)}")
-    return data
-
-
 def load_checkpoint(path) -> tuple[Sequential, TrainConfig]:
     """Rebuild the stored model; any malformed content raises a ValueError
     that starts with the path."""
@@ -203,16 +203,16 @@ def _read_checkpoint(f) -> tuple[Sequential, TrainConfig]:
     magic = f.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint (bad magic {magic!r})")
-    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+    (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<Q", _read_exact(f, 8, "config length"))
-    blob = _read_exact(f, cfg_len, "config")
+    (cfg_len,) = struct.unpack("<Q", read_exact(f, 8, "config length"))
+    blob = read_exact(f, cfg_len, "config")
     try:
         cfg = parse_config(blob.decode())
     except ValueError as e:
         raise ValueError(f"config: {e}") from None
-    (count,) = struct.unpack("<Q", _read_exact(f, 8, "tensor count"))
+    (count,) = struct.unpack("<Q", read_exact(f, 8, "tensor count"))
     model = build_model(cfg)
     tensors = model.state_tensors()
     if count != len(tensors):

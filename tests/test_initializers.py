@@ -103,6 +103,16 @@ class TestPatternInit:
         assert np.all(np.abs(w) > 0.0) and np.all(np.abs(w) <= 2.0 / 4)
         assert np.all(layer.bias == 0.0)
 
+    def test_single_unit_takes_each_base_pattern_as_drawn(self):
+        # one unit per instance: a base pattern, then its magnitudes, per instance
+        layer = PerceptronPool(window=(2, 3), stride=1, sharing="per_field", dtype=np.float64,
+                               init="pattern", rng=np.random.default_rng(4))
+        layer.bind(1, 4, 5)
+        rng = np.random.default_rng(4)
+        for w in layer.weights[:, 0]:
+            signs = init.random_sign_pattern(rng, 2, 3).signs
+            assert np.array_equal(w, signs * init._pattern_magnitudes(rng, 2, 3))
+
     def test_output_magnitude_bounded_on_unit_input(self):
         # |sum of weights| <= window * max magnitude = W*H * 2/(W*H) = 2
         rng = np.random.default_rng(7)

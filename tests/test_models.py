@@ -2,23 +2,40 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perceptpool.config import POOLINGS, TrainConfig, load_config, parse_config
-from perceptpool.layers import Conv2d
+from perceptpool.config import (POOLING_KINDS, POOLINGS, RETIRED, TrainConfig, load_config,
+                               parse_config)
+from perceptpool.layers import Conv2d, softmax_xent
 from perceptpool.models import audit_params, build_model, rng_for
-from perceptpool.pooling import PerceptronPool
+from perceptpool.optim import make_optimizer
+from perceptpool.pooling import MlpPoolStack, PerceptronPool
 
 
-NON_DEFAULT_POOLING = {"window": 4, "stride": 4, "units": 4, "sharing": "per_field",
+NON_DEFAULT_POOLING = {"window": 4, "stride": 4, "units": 4,
                        "activation": "relu", "use_bias": "false", "lr_factor": 0.5,
                        "wd_factor": 0.01, "init": "glorot"}
 _ALL = tuple(NON_DEFAULT_POOLING)
 UNREAD_POOLING_KEYS = {
     "max": _ALL, "average": _ALL, "strided_conv": _ALL,
-    "perceptron": ("sharing",), "nn_z": ("sharing",), "nn_field": ("sharing",),
-    "nn_tensor": ("sharing",),
-    "nn_4_1": ("window", "stride", "units", "sharing"),
-    "nn_16_1": ("window", "stride", "units", "sharing"),
+    "perceptron": (), "nn_z": (), "nn_field": (), "nn_tensor": (),
+    "nn_4_1": ("window", "stride", "units"),
+    "nn_16_1": ("window", "stride", "units"),
+}
+NON_DEFAULT_RETIRED = {"pooling.sharing": "per_field", "upsample.kind": "nn_up",
+                       "upsample.units": "16"}
+# Each key is left unset or drawn from these values, valid or not.
+CONTRACT_DRAWS = {
+    "pooling.window": st.integers(1, 4),
+    "pooling.stride": st.integers(1, 4),
+    "pooling.units": st.sampled_from([1, 2, 4]),
+    "pooling.activation": st.sampled_from(["relu", "tanh"]),
+    "pooling.use_bias": st.just("false"),
+    "pooling.lr_factor": st.sampled_from([0.5, -1]),
+    "pooling.wd_factor": st.just(0.01),
+    "pooling.init": st.sampled_from(["pattern", "glorot"]),
+    **{key: st.sampled_from([default, NON_DEFAULT_RETIRED[key]]) for key, default in RETIRED.items()},
 }
 
 
@@ -70,6 +87,39 @@ class TestConfig:
         # checkpoints echo every key, the unread ones at their defaults
         assert parse_config(cfg.to_text()) == cfg
 
+    @pytest.mark.parametrize("key", RETIRED)
+    def test_retired_key(self, key):
+        for kind in POOLINGS:
+            # the one value older checkpoint and metrics echoes carry still loads
+            cfg = parse_config(f"pooling.kind = {kind}\n{key} = {RETIRED[key]}\n")
+            assert cfg == TrainConfig(pooling_kind=kind)
+            assert key not in cfg.to_text()
+            with pytest.raises(ValueError, match=f"{key} is retired"):
+                parse_config(f"pooling.kind = {kind}\n{key} = {NON_DEFAULT_RETIRED[key]}\n")
+
+    @settings(max_examples=100)
+    @given(kind=st.sampled_from(POOLINGS),
+           drawn=st.fixed_dictionaries({k: st.none() | v for k, v in CONTRACT_DRAWS.items()}))
+    def test_config_contract(self, kind, drawn):
+        # a config either builds and trains, or is rejected naming a key it sets
+        keys = {key: value for key, value in drawn.items() if value is not None}
+        text = f"model = tiny_synth\npooling.kind = {kind}\n" + "".join(
+            f"{key} = {value}\n" for key, value in keys.items())
+        try:
+            cfg = parse_config(text)
+            model = build_model(cfg)
+        except ValueError as e:
+            assert any(key in str(e) for key in keys), (text, str(e))
+            return
+        optimizer = make_optimizer(cfg.optimizer_kind, model.param_groups(), lr=cfg.optimizer_lr,
+                                   weight_decay=cfg.optimizer_weight_decay)
+        x = np.random.default_rng(0).normal(size=(4, 1, 16, 16)).astype(np.float32)
+        loss, dlogits = softmax_xent(model.forward(x), np.array([0, 1, 0, 1]))
+        model.zero_grad()
+        model.backward(dlogits)
+        optimizer.step()
+        assert np.isfinite(loss)
+
     def test_shipped_configs_parse(self):
         paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
         assert paths
@@ -118,16 +168,27 @@ class TestBuildModel:
         assert out.shape == (2, 10)
         assert model.backward(np.ones_like(out)).shape == x.shape
 
+    @pytest.mark.parametrize("kind", POOLINGS)
+    def test_slot_follows_the_kind_table(self, kind):
+        entry = POOLING_KINDS[kind]
+        if entry is None:
+            slot = build_model(TrainConfig(pooling_kind=kind)).slots["pool1"]
+            assert not any(isinstance(l, (PerceptronPool, MlpPoolStack)) for l in slot)
+            return
+        sharing, specs = entry
+        window = {} if specs else {"pooling_window": 4, "pooling_stride": 4}
+        (pool,) = build_model(TrainConfig(pooling_kind=kind, **window)).slots["pool1"]
+        built = pool.layers if specs else [pool]
+        expected = ([(f"pool1.{i}", u, (w, w), s) for i, (u, w, s) in enumerate(specs)]
+                    if specs else [("pool1", 1, (4, 4), 4)])
+        assert [(l.name, l.units, l.window, l.stride) for l in built] == expected
+        assert all(l.sharing is sharing for l in built)
+
     def test_rng_for_is_stable(self):
         a = rng_for(3, "conv1").normal(size=4)
         b = rng_for(3, "conv1").normal(size=4)
         c = rng_for(3, "conv2").normal(size=4)
         assert np.array_equal(a, b) and not np.array_equal(a, c)
-
-    def test_upsample_config_rejected_for_classifiers(self):
-        cfg = TrainConfig(model="tiny_synth", upsample_kind="nn_up")
-        with pytest.raises(ValueError, match="upsampl"):
-            build_model(cfg)
 
     @pytest.mark.parametrize("pooling", POOLINGS)
     def test_float64_build_is_float64_throughout(self, pooling):

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from perceptpool import data as data_mod
 from perceptpool.config import TrainConfig
 from perceptpool.models import build_model
 from perceptpool.pooling import PerceptronPool
-from perceptpool.train import (TrainingDiverged, evaluate_checkpoint, evaluate_model,
-                               load_checkpoint, prepare_data, save_checkpoint, train)
+from perceptpool.train import (TrainingDiverged, _diagnose_nonfinite, evaluate_checkpoint,
+                               evaluate_model, load_checkpoint, prepare_data, save_checkpoint,
+                               train)
 
 
 def tiny_config(**overrides):
@@ -84,6 +86,16 @@ class TestTraining:
         with pytest.raises(TrainingDiverged, match=r"layer \d"):
             train(cfg, tmp_path)
 
+    def test_divergence_diagnosis_keeps_batchnorm_statistics(self):
+        cfg = TrainConfig(model="model_a_like", pooling_kind="perceptron", data_kind="cifar10")
+        model = build_model(cfg)
+        x = np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        model.forward(x)
+        before = [(name, arr.copy()) for name, arr in model.state_tensors()]
+        assert _diagnose_nonfinite(model, 3 * x) == "loss"
+        for (name, old), (_, arr) in zip(before, model.state_tensors()):
+            assert old.tobytes() == arr.tobytes(), name
+
 
 class TestCheckpoints:
     def test_roundtrip_preserves_accuracy_exactly(self, tmp_path):
@@ -130,6 +142,39 @@ class TestCheckpoints:
                 load_checkpoint(bad)
             if section != "magic":
                 assert f"truncated {section}" in str(err.value), (section, err.value)
+
+    @pytest.mark.parametrize("section,value", [
+        ("config length", struct.pack("<Q", 2**62)),
+        ("config length", struct.pack("<Q", 2**63)),
+        ("tensor header", struct.pack("<4Q", 2**59, 1, 1, 1)),
+    ], ids=["config_len_2^62", "config_len_2^63", "tensor_dims_2^59"])
+    def test_oversized_length_field_names_the_file(self, tmp_path, section, value):
+        # a stated length is checked against the bytes left before it is read
+        cfg = tiny_config()
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(path, build_model(cfg), cfg)
+        raw = path.read_bytes()
+        at = 8 + 4 if section == "config length" else 8 + 4 + 8 + len(cfg.to_text().encode()) + 8
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:at] + value + raw[at + len(value):])
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: ")):
+            load_checkpoint(bad)
+
+    def test_older_echo_with_retired_keys_loads(self, tmp_path):
+        # older checkpoints echo pooling.sharing, upsample.kind and upsample.units
+        result = train(tiny_config(), tmp_path / "run")
+        raw = result.checkpoint_path.read_bytes()
+        (blob_len,) = struct.unpack("<Q", raw[12:20])
+        echo = raw[20:20 + blob_len].decode()
+        old_echo = (echo.replace("pooling.units = 1\n", "pooling.units = 1\npooling.sharing = global\n")
+                    .replace("pooling.init = average\n",
+                             "pooling.init = average\nupsample.kind = \nupsample.units = 4\n"))
+        assert old_echo.count("\n") == echo.count("\n") + 3
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(raw[:12] + struct.pack("<Q", len(old_echo)) + old_echo.encode()
+                        + raw[20 + blob_len:])
+        assert load_checkpoint(old)[1] == tiny_config()
+        assert evaluate_checkpoint(old) == result.final_val_acc
 
     def test_state_includes_batchnorm_running_stats(self, tmp_path):
         cfg = TrainConfig(model="model_a_like", pooling_kind="average", data_kind="synth",
