@@ -81,13 +81,6 @@ def normalize(images, dtype=np.float32) -> np.ndarray:
     return ((x - means) / SCALE).astype(dtype)
 
 
-def denormalize(images) -> np.ndarray:
-    """Inverse of normalize, rounded back to the raw byte grid."""
-    x = np.asarray(images, dtype=np.float64)
-    means = CHANNEL_MEANS.reshape((3, 1, 1) if x.ndim == 3 else (1, 3, 1, 1))
-    return np.rint(x * SCALE + means).astype(np.uint8)
-
-
 def augment_crop(images, rng: np.random.Generator, pad: int = CROP_PAD) -> np.ndarray:
     """Center each image on a zero canvas pad pixels wider per side and cut a
     random original-size crop (offsets 0..2*pad inclusive, per image)."""
@@ -188,16 +181,3 @@ def synth_dataset(n: int, classes: int = 2, seed: int = 0):
         images[i, 0] = (blob + noise).astype(np.float32)
     return images, labels
 
-
-def nearest_centroid_accuracy(images, labels, pool: int = 4) -> float:
-    """Sanity oracle for the synthetic fixture: classify by the nearest class
-    centroid of pool x pool averaged features."""
-    x = np.asarray(images, dtype=np.float64)
-    n, c, h, w = x.shape
-    feats = x.reshape(n, c, h // pool, pool, w // pool, pool).mean(axis=(3, 5)).reshape(n, -1)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    centroids = np.stack([feats[labels == k].mean(axis=0) for k in classes])
-    dists = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    pred = classes[dists.argmin(axis=1)]
-    return float((pred == labels).mean())

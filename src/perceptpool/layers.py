@@ -5,9 +5,9 @@ pooling and softmax cross-entropy: everything needed to rebuild the small
 reference classifiers and the strided-convolution pooling baseline.
 
 Conventions shared by all layers:
-  - forward(x, train=True) stores whatever backward needs; Conv2d,
-    BatchNorm2d and the pooling layers store nothing for train=False, so a
-    backward after an evaluation forward raises;
+  - forward(x, train=True) stores whatever backward needs; every layer
+    stores nothing for train=False, so a backward after an evaluation
+    forward raises;
   - backward(grad_out) returns the input gradient and ACCUMULATES parameter
     gradients into the layer's grad buffers (call zero_grad between steps);
   - pooling never pads and requires the window to tile the input exactly;
@@ -257,25 +257,23 @@ class FixedPool(Layer):
 class ReLU(Layer):
     def __init__(self, name: str = "relu"):
         self.name = name
-        self._mask = None
-        self._last_input = None
+        self._x = None
 
     def forward(self, x, train: bool = True):
-        self._mask = x > 0
-        self._last_input = x
+        self._x = x if train else None
         return np.maximum(x, 0)
 
     def backward(self, grad_out):
-        if self._mask is None:
+        if self._x is None:
             raise RuntimeError(f"{self.name}: backward without a stored forward")
-        if grad_out.shape != self._mask.shape:
+        if grad_out.shape != self._x.shape:
             raise ValueError(f"{self.name}: grad_out shape does not match forward")
-        return grad_out * self._mask
+        return grad_out * (self._x > 0)
 
     def kink_margin(self):
-        if self._last_input is None or self._last_input.size == 0:
+        if self._x is None or self._x.size == 0:
             return None
-        return float(np.min(np.abs(self._last_input)))
+        return float(np.min(np.abs(self._x)))
 
 
 class BatchNorm2d(Layer):
@@ -316,17 +314,25 @@ class BatchNorm2d(Layer):
     def forward(self, x, train: bool = True):
         if x.shape[1] != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {x.shape[1]}")
+        # Per-channel vectors broadcast as (C, 1, 1). Each direction allocates at
+        # most two full-size arrays; reductions are ndarray.sum (pairwise).
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            n = x.size // self.channels
+            mean = x.sum(axis=(0, 2, 3)) / n
+            xhat = x - mean[:, None, None]
+            var = np.square(xhat).sum(axis=(0, 2, 3)) / n
             self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            xhat *= inv_std[:, None, None]
+            self._saved = (xhat, inv_std)
+            out = xhat * self.gamma[:, None, None]
         else:
-            mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._saved = (xhat, inv_std) if train else None
-        return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+            self._saved = None
+            out = x - self.running_mean[:, None, None]
+            out *= (self.gamma / np.sqrt(self.running_var + self.eps))[:, None, None]
+        out += self.beta[:, None, None]
+        return out
 
     def backward(self, grad_out):
         if self._saved is None:
@@ -334,14 +340,18 @@ class BatchNorm2d(Layer):
         xhat, inv_std = self._saved
         if grad_out.shape != xhat.shape:
             raise ValueError(f"{self.name}: grad_out shape does not match forward")
-        b, _, h, w = grad_out.shape
-        n = b * h * w
-        self.gamma_grad += (grad_out * xhat).sum(axis=(0, 2, 3))
-        self.beta_grad += grad_out.sum(axis=(0, 2, 3))
-        g = grad_out * self.gamma[None, :, None, None]
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return inv_std[None, :, None, None] * (g - sum_g / n - xhat * sum_gx / n)
+        n = grad_out.size // self.channels
+        gg = (grad_out * xhat).sum(axis=(0, 2, 3))
+        bg = grad_out.sum(axis=(0, 2, 3))
+        self.gamma_grad += gg
+        self.beta_grad += bg
+        # dx = inv_std * (g - sum(g)/n - xhat*sum(g*xhat)/n) with g = gamma*grad_out,
+        # where sum(g) = gamma*bg and sum(g*xhat) = gamma*gg.
+        dx = xhat * (-gg / n)[:, None, None]
+        dx += grad_out
+        dx -= (bg / n)[:, None, None]
+        dx *= (self.gamma * inv_std)[:, None, None]
+        return dx
 
 
 class Flatten(Layer):
@@ -350,10 +360,12 @@ class Flatten(Layer):
         self._in_shape = None
 
     def forward(self, x, train: bool = True):
-        self._in_shape = x.shape
+        self._in_shape = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
+        if self._in_shape is None:
+            raise RuntimeError(f"{self.name}: backward without a stored forward")
         return grad_out.reshape(self._in_shape)
 
 
@@ -387,7 +399,7 @@ class Dense(Layer):
     def forward(self, x, train: bool = True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"{self.name}: expected (batch, {self.in_features}), got {x.shape}")
-        self._x = x
+        self._x = x if train else None
         out = x @ self.weights
         if self.bias is not None:
             out = out + self.bias

@@ -1,10 +1,14 @@
-"""Independent brute-force oracles.
+"""Independent oracles and test-only helpers.
 
-Everything here is deliberately written as plain nested loops over the
-mathematical definitions, sharing no code with the library paths it checks.
+The window oracles are deliberately written as plain nested loops over the
+mathematical definitions; `batchnorm_reference` keeps the textbook formulas
+that the two-pass BatchNorm2d kernel replaced. None of them shares code with
+the library paths it checks.
 """
 
 import numpy as np
+
+from perceptpool.data import CHANNEL_MEANS, SCALE
 
 
 def conv2d_loops(x, weights, bias, stride, pad):
@@ -105,3 +109,55 @@ def adam_scalar_reference(grad_fn, theta0, lr, beta1, beta2, eps, steps):
         theta = theta - lr * m_hat / (v_hat**0.5 + eps)
         history.append(theta)
     return history
+
+
+def batchnorm_reference(x, gamma, beta, running_mean, running_var, grad_out=None,
+                        train=True, eps=1e-5, momentum=0.1):
+    """Per-channel batch normalization (Ioffe & Szegedy 2015) by its textbook
+    formulas: x.mean/x.var, then the input gradient through the scaled
+    gradient g = grad_out * gamma. Returns (out, running_mean, running_var,
+    grads), where the running statistics are the updated copies and grads is
+    (dx, dgamma, dbeta), or None without grad_out (train only)."""
+    c = (None, slice(None), None, None)
+    if train:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean = (1 - momentum) * running_mean + momentum * mean
+        running_var = (1 - momentum) * running_var + momentum * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[c]) * inv_std[c]
+    out = gamma[c] * xhat + beta[c]
+    if grad_out is None:
+        return out, running_mean, running_var, None
+    b, _, h, w = grad_out.shape
+    n = b * h * w
+    dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    dbeta = grad_out.sum(axis=(0, 2, 3))
+    g = grad_out * gamma[c]
+    sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
+    sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    dx = inv_std[c] * (g - sum_g / n - xhat * sum_gx / n)
+    return out, running_mean, running_var, (dx, dgamma, dbeta)
+
+
+def denormalize(images):
+    """Inverse of data.normalize, rounded back to the raw byte grid."""
+    x = np.asarray(images, dtype=np.float64)
+    means = CHANNEL_MEANS.reshape((3, 1, 1) if x.ndim == 3 else (1, 3, 1, 1))
+    return np.rint(x * SCALE + means).astype(np.uint8)
+
+
+def nearest_centroid_accuracy(images, labels, pool=4):
+    """Sanity oracle for the synthetic fixture: classify by the nearest class
+    centroid of pool x pool averaged features."""
+    x = np.asarray(images, dtype=np.float64)
+    n, c, h, w = x.shape
+    feats = x.reshape(n, c, h // pool, pool, w // pool, pool).mean(axis=(3, 5)).reshape(n, -1)
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    centroids = np.stack([feats[labels == k].mean(axis=0) for k in classes])
+    dists = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    pred = classes[dists.argmin(axis=1)]
+    return float((pred == labels).mean())

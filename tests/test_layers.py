@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from perceptpool.gradcheck import check_layer
-from perceptpool.layers import (BatchNorm2d, Conv2d, Dense, FixedPool, ReLU,
+from perceptpool.layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, ReLU,
                                 col2im, im2col, pool_out_dim, softmax_xent)
 
-from oracles import conv2d_loops
+from oracles import batchnorm_reference, conv2d_loops
 
 
 class TestPoolOutDim:
@@ -161,15 +161,6 @@ class TestFixedPool:
         report = check_layer(FixedPool(mode, 3, 1), (2, 2, 5, 5), seed=2, tolerance=1e-4)
         assert report.passed, report.format()
 
-    @pytest.mark.parametrize("mode", ["max", "average"])
-    def test_eval_forward_keeps_no_backward_state(self, mode):
-        pool = FixedPool(mode, 2, 2)
-        x = np.zeros((1, 1, 4, 4))
-        pool.forward(x, train=True)
-        pool.forward(x, train=False)
-        with pytest.raises(RuntimeError):
-            pool.backward(np.zeros((1, 1, 2, 2)))
-
     def test_average_is_linear(self):
         rng = np.random.default_rng(5)
         pool = FixedPool("average", 2, 2)
@@ -223,9 +214,36 @@ class TestBatchNorm:
         np.testing.assert_allclose(out[0, :, 0, 0], expected, atol=1e-10)
 
     def test_backward_matches_finite_differences(self):
-        report = check_layer(BatchNorm2d(3, dtype=np.float64), (2, 3, 2, 2),
-                             seed=2, tolerance=1e-4)
-        assert report.passed, report.format()
+        for shape in ((2, 3, 2, 2), (4, 3, 5, 5)):
+            report = check_layer(BatchNorm2d(3, dtype=np.float64), shape, seed=2, tolerance=1e-4)
+            assert report.passed, (shape, report.format())
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 6), (2, 3, 5, 5), (4, 2, 3, 7), (5, 4, 1, 1)])
+    def test_matches_reference_formulas(self, shape):
+        rng = np.random.default_rng(11)
+        c = shape[1]
+        bn = BatchNorm2d(c, momentum=0.3, dtype=np.float64)
+        bn.gamma[...] = rng.uniform(0.5, 2.0, c) * rng.choice([-1.0, 1.0], c)
+        bn.beta[...] = rng.normal(size=c)
+        bn.running_mean[...] = rng.normal(size=c)
+        bn.running_var[...] = rng.uniform(0.5, 3.0, c)
+        params = [a.copy() for a in (bn.gamma, bn.beta, bn.running_mean, bn.running_var)]
+        x = rng.normal(loc=1.5, scale=2.0, size=shape)
+        grad_out = rng.normal(size=shape)
+        close = dict(rtol=0, atol=1e-12)
+
+        out, mean, var, (dx, dgamma, dbeta) = batchnorm_reference(
+            x, *params, grad_out=grad_out, momentum=0.3)
+        np.testing.assert_allclose(bn.forward(x, train=True), out, **close)
+        np.testing.assert_allclose(bn.running_mean, mean, **close)
+        np.testing.assert_allclose(bn.running_var, var, **close)
+        np.testing.assert_allclose(bn.backward(grad_out), dx, **close)
+        np.testing.assert_allclose(bn.gamma_grad, dgamma, **close)
+        np.testing.assert_allclose(bn.beta_grad, dbeta, **close)
+
+        out, *_ = batchnorm_reference(x, bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                                      train=False)
+        np.testing.assert_allclose(bn.forward(x, train=False), out, **close)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
@@ -243,6 +261,23 @@ class TestDense:
     def test_backward_matches_finite_differences(self):
         report = check_layer(Dense(5, 4, dtype=np.float64), (3, 5), seed=3, tolerance=1e-4)
         assert report.passed, report.format()
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda: FixedPool("max", 2, 2), (1, 1, 4, 4)),
+    (lambda: FixedPool("average", 2, 2), (1, 1, 4, 4)),
+    (ReLU, (1, 2, 3, 3)),
+    (lambda: BatchNorm2d(2, dtype=np.float64), (2, 2, 3, 3)),
+    (lambda: Dense(4, 3, dtype=np.float64), (2, 4)),
+    (Flatten, (2, 2, 3, 3)),
+], ids=["max", "average", "relu", "batchnorm", "dense", "flatten"])
+def test_eval_forward_keeps_no_backward_state(make, shape):
+    layer = make()
+    x = np.random.default_rng(4).normal(size=shape)
+    layer.forward(x, train=True)
+    out = layer.forward(x, train=False)
+    with pytest.raises(RuntimeError):
+        layer.backward(np.zeros_like(out))
 
 
 class TestSoftmaxXent:

@@ -196,6 +196,21 @@ class TestBuildModel:
         dtypes = {name: arr.dtype for name, arr in model.state_tensors()}
         assert all(dt == np.float64 for dt in dtypes.values()), dtypes
 
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    @pytest.mark.parametrize("model_name", ["model_a_like", "model_c_like"])
+    def test_eval_forward_leaves_no_backward_state(self, model_name, pooling):
+        model = build_model(TrainConfig(model=model_name, pooling_kind=pooling, data_kind="cifar10"))
+        x = np.random.default_rng(6).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        out_shapes, h = [], x
+        for layer in model.layers:
+            h = layer.forward(h, train=False)
+            out_shapes.append(h.shape)
+        model.forward(x, train=True)
+        model.forward(x, train=False)
+        for layer, shape in zip(model.layers, out_shapes):
+            with pytest.raises(RuntimeError):
+                layer.backward(np.zeros(shape, dtype=np.float32))
+
     def test_pattern_init_applies_to_pooling_slots(self):
         cfg = TrainConfig(model="tiny_synth", pooling_kind="perceptron", pooling_init="pattern")
         model = build_model(cfg)
