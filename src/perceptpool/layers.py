@@ -14,7 +14,10 @@ Conventions shared by all layers:
     convolution supports symmetric zero padding;
   - every windowed layer (Conv2d, FixedPool and the perceptron layers of
     pooling.py) reads its windows through im2col and returns its input
-    gradient through the adjoint col2im.
+    gradient through the adjoint col2im;
+  - Conv2d and FixedPool run one cache-sized batch block at a time: pad the
+    block, im2col it, then GEMM or reduce it straight into the BCHW output.
+    Only a training forward keeps columns (all blocks', for backward).
 """
 
 from __future__ import annotations
@@ -45,26 +48,34 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-# im2col and col2im walk the first axis in blocks of about this many input
-# bytes, so the wh*ww strided passes over a block are served from cache
-# instead of sweeping the whole array from memory wh*ww times.
+# Windowed loops walk their leading axis in blocks of about this many bytes
+# (of input for im2col and col2im, of columns for the batch blocks of Conv2d
+# and FixedPool), so the strided passes over a block, and the GEMM or
+# reduction that reads its columns, are served from cache instead of sweeping
+# whole-batch arrays from memory.
 _BLOCK_BYTES = 1 << 20
+# Conv2d's blocks are larger: each is one GEMM call, a narrower GEMM runs
+# measurably slower per column, and a training forward writes each block's
+# columns into the saved array as rows of nb*oH*oW values.
+_GEMM_BLOCK_BYTES = 8 << 20
 
 
-def _blocks(x: np.ndarray) -> list[slice]:
-    step = max(1, _BLOCK_BYTES * len(x) // max(x.nbytes, 1))
-    return [slice(lo, lo + step) for lo in range(0, len(x), step)]
+def _blocks(n: int, nbytes: int, budget: int) -> list[slice]:
+    """Slices of range(n) of about `budget` bytes each, for n items of nbytes in all."""
+    step = max(1, budget * n // max(nbytes, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def im2col(x: np.ndarray, wh: int, ww: int, stride: int) -> np.ndarray:
+def im2col(x: np.ndarray, wh: int, ww: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
     """Every exactly tiling wh x ww window of x (N, ..., H, W), as a
     (wh, ww, N, ..., oH, oW) array: one strided copy per window offset, so
-    windowed reductions and GEMMs run over contiguous planes."""
+    windowed reductions and GEMMs run over contiguous planes. Written into
+    `out` (any view of that shape) when given."""
     *lead, h, w = x.shape
     oh = (h - wh) // stride + 1
     ow = (w - ww) // stride + 1
-    cols = np.empty((wh, ww, *lead, oh, ow), dtype=x.dtype)
-    for blk in _blocks(x):
+    cols = np.empty((wh, ww, *lead, oh, ow), dtype=x.dtype) if out is None else out
+    for blk in _blocks(len(x), x.nbytes, _BLOCK_BYTES):
         for dy in range(wh):
             for dx in range(ww):
                 cols[dy, dx, blk] = x[blk, ..., dy : dy + stride * oh : stride,
@@ -78,7 +89,7 @@ def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
     wh, ww = cols.shape[:2]
     oh, ow = cols.shape[-2:]
     x = np.zeros(shape, dtype=cols.dtype)
-    for blk in _blocks(x):
+    for blk in _blocks(len(x), x.nbytes, _BLOCK_BYTES):
         for dy in range(wh):
             for dx in range(ww):
                 x[blk, ..., dy : dy + stride * oh : stride,
@@ -167,35 +178,47 @@ class Conv2d(Layer):
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = self._out_dims(h, w)
-        if self.pad:
-            x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-        # Channels before batch, so the columns reshape for free to (kh*kw*C, B*oH*oW).
-        cols = im2col(x.transpose(1, 0, 2, 3), *self.kernel, self.stride).reshape(-1, b * oh * ow)
-        out = self._weight_matrix() @ cols
-        if self.bias is not None:
-            out += self.bias[:, None]
-        self._saved = (cols, x.shape, (b, oh, ow)) if train else None
-        return np.ascontiguousarray(
-            out.reshape(self.out_channels, b, oh, ow).transpose(1, 0, 2, 3)
-        )
+        (kh, kw), p = self.kernel, self.pad
+        wm = self._weight_matrix()
+        # Columns put channels before batch, so a block's columns are a
+        # row-strided (kh*kw*C, nb*oH*oW) matrix. Training keeps every block's
+        # columns for backward; eval reuses one block's.
+        blocks = _blocks(b, kh * kw * c * b * oh * ow * x.itemsize, _GEMM_BLOCK_BYTES)
+        cols = np.empty((kh, kw, c, b if train else blocks[0].stop, oh, ow), dtype=x.dtype)
+        out = np.empty((b, self.out_channels, oh, ow), dtype=np.result_type(x, wm))
+        for blk in blocks:
+            nb = blk.stop - blk.start
+            xb = np.zeros((c, nb, h + 2 * p, w + 2 * p), dtype=x.dtype)
+            xb[:, :, p : p + h, p : p + w] = x[blk].transpose(1, 0, 2, 3)
+            cb = im2col(xb, kh, kw, self.stride, out=cols[:, :, :, blk if train else slice(nb)])
+            ob = wm @ cb.reshape(-1, nb * oh * ow)
+            if self.bias is not None:
+                ob += self.bias[:, None]
+            out[blk] = ob.reshape(-1, nb, oh, ow).transpose(1, 0, 2, 3)
+        self._saved = (cols, x.shape) if train else None
+        return out
 
     def backward(self, grad_out):
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward without a stored forward")
-        cols, (_, c, hp, wp), (b, oh, ow) = self._saved
-        if grad_out.shape != (b, self.out_channels, oh, ow):
+        cols, (b, c, h, w) = self._saved
+        kh, kw, _, _, oh, ow = cols.shape
+        o, p = self.out_channels, self.pad
+        if grad_out.shape != (b, o, oh, ow):
             raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match forward")
-        kh, kw = self.kernel
-        go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(self.out_channels, -1)
-        gw = (go @ cols.T).reshape(self.out_channels, kh, kw, c)
+        go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, b, oh * ow)
+        gw = (go.reshape(o, -1) @ cols.reshape(-1, b * oh * ow).T).reshape(o, kh, kw, c)
         self.weights_grad += gw.transpose(0, 3, 1, 2)
         if self.bias is not None:
-            self.bias_grad += go.sum(axis=1)
-        grad_cols = (self._weight_matrix().T @ go).reshape(kh, kw, c, b, oh, ow)
-        gx = col2im(grad_cols, (c, b, hp, wp), self.stride).transpose(1, 0, 2, 3)
-        if self.pad:
-            gx = gx[:, :, self.pad : -self.pad, self.pad : -self.pad]
-        return np.ascontiguousarray(gx)
+            self.bias_grad += go.reshape(o, -1).sum(axis=1)
+        wm_t = self._weight_matrix().T
+        gx = np.empty((b, c, h, w), dtype=np.result_type(wm_t, go))
+        for blk in _blocks(b, cols.nbytes, _GEMM_BLOCK_BYTES):
+            nb = blk.stop - blk.start
+            gcols = (wm_t @ go[:, blk].reshape(o, -1)).reshape(kh, kw, c, nb, oh, ow)
+            gxb = col2im(gcols, (c, nb, h + 2 * p, w + 2 * p), self.stride)
+            gx[blk] = gxb[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+        return gx
 
 
 class FixedPool(Layer):
@@ -213,17 +236,22 @@ class FixedPool(Layer):
         self._saved = None
 
     def forward(self, x, train: bool = True):
-        _, _, h, w = x.shape
+        b, c, h, w = x.shape
         wh, ww = self.window
-        pool_out_dim(h, wh, self.stride)  # raises unless the window tiles exactly
-        pool_out_dim(w, ww, self.stride)
-        cols = im2col(x, wh, ww, self.stride)
-        if self.mode == "max":
-            out = cols.max(axis=(0, 1))
-        else:
-            out = cols.mean(axis=(0, 1))
-        # Max backward and kink_margin need the windows; average needs only shapes.
-        self._saved = (x.shape, cols if self.mode == "max" else None, out.shape) if train else None
+        # pool_out_dim raises unless the window tiles exactly.
+        oh, ow = pool_out_dim(h, wh, self.stride), pool_out_dim(w, ww, self.stride)
+        # Max backward and kink_margin need every block's windows; otherwise
+        # the blocks reuse one block's.
+        keep = train and self.mode == "max"
+        blocks = _blocks(b, wh * ww * b * c * oh * ow * x.itemsize, _BLOCK_BYTES)
+        cols = np.empty((wh, ww, b if keep else blocks[0].stop, c, oh, ow), dtype=x.dtype)
+        out = np.empty((b, c, oh, ow), dtype=x.dtype)
+        reduce = np.max if self.mode == "max" else np.mean
+        for blk in blocks:
+            cb = im2col(x[blk], wh, ww, self.stride,
+                        out=cols[:, :, blk if keep else slice(blk.stop - blk.start)])
+            reduce(cb, axis=(0, 1), out=out[blk])
+        self._saved = (x.shape, cols if keep else None, out.shape) if train else None
         return out
 
     def backward(self, grad_out):
@@ -233,15 +261,18 @@ class FixedPool(Layer):
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match forward")
         wh, ww = self.window
-        if self.mode == "max":
-            # One-hot on the first maximum in row-major window scan, so ties
-            # route the whole gradient to a single input.
-            first = cols.reshape(wh * ww, *out_shape).argmax(axis=0)
-            onehot = np.arange(wh * ww).reshape(wh, ww, 1, 1, 1, 1) == first
-            grad_cols = onehot * grad_out
-        else:
-            grad_cols = np.broadcast_to(grad_out / (wh * ww), (wh, ww, *out_shape))
-        return col2im(grad_cols, in_shape, self.stride)
+        gx = np.empty(in_shape, dtype=grad_out.dtype)
+        for blk in _blocks(len(gx), wh * ww * grad_out.nbytes, _BLOCK_BYTES):
+            g = grad_out[blk]
+            if self.mode == "max":
+                # One-hot on the first maximum in row-major window scan, so ties
+                # route the whole gradient to a single input.
+                first = cols[:, :, blk].reshape(wh * ww, *g.shape).argmax(axis=0)
+                grad_cols = (np.arange(wh * ww).reshape(wh, ww, 1, 1, 1, 1) == first) * g
+            else:
+                grad_cols = np.broadcast_to(g / (wh * ww), (wh, ww, *g.shape))
+            gx[blk] = col2im(grad_cols, (len(g), *in_shape[1:]), self.stride)
+        return gx
 
     def kink_margin(self):
         if self._saved is None or self._saved[1] is None:

@@ -107,8 +107,10 @@ def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
     slots: dict[str, list[Layer]] = {}
     shape = (in_ch, side, side)
     for i, block in enumerate(blocks, start=1):
+        # A BatchNorm2d subtracts the batch mean, so a bias in front of it is dead.
         layers.append(Conv2d(shape[0], block.out_channels, kernel=3, stride=1, pad=1,
-                             rng=rng_for(cfg.seed, f"conv{i}"), dtype=dtype, name=f"conv{i}"))
+                             use_bias=not block.batchnorm, rng=rng_for(cfg.seed, f"conv{i}"),
+                             dtype=dtype, name=f"conv{i}"))
         if block.batchnorm:
             layers.append(BatchNorm2d(block.out_channels, dtype=dtype, name=f"bn{i}"))
         layers.append(ReLU(name=f"relu{i}"))

@@ -1,14 +1,19 @@
 """Independent oracles and test-only helpers.
 
 The window oracles are deliberately written as plain nested loops over the
-mathematical definitions; `batchnorm_reference` keeps the textbook formulas
-that the two-pass BatchNorm2d kernel replaced. None of them shares code with
-the library paths it checks.
+mathematical definitions, except the whole-batch `conv2d_reference` and
+`pool_reference`, which read windows through numpy's sliding_window_view so
+they run at test sizes that span several of the library's batch blocks;
+`batchnorm_reference` keeps the textbook formulas that the two-pass
+BatchNorm2d kernel replaced. None of them shares code with the library paths
+it checks.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from perceptpool.data import CHANNEL_MEANS, SCALE
+from perceptpool.layers import Conv2d
 
 
 def conv2d_loops(x, weights, bias, stride, pad):
@@ -36,6 +41,57 @@ def conv2d_loops(x, weights, bias, stride, pad):
                                 acc += weights[o, ci, dy, dx] * xp[bi, ci, i * stride + dy, j * stride + dx]
                     out[bi, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
     return out
+
+
+def _windows(x, kh, kw, stride):
+    """(B, C, oH, oW, kh, kw) view of every kh x kw window of x at `stride`."""
+    return sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def _scatter_windows(grad_windows, in_shape, stride):
+    """Adjoint of _windows: add grad_windows (B, C, oH, oW, kh, kw) back onto
+    an input-sized zero array, one window offset at a time."""
+    *_, oh, ow, kh, kw = grad_windows.shape
+    gx = np.zeros(in_shape, dtype=grad_windows.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            gx[:, :, dy : dy + stride * oh : stride, dx : dx + stride * ow : stride] += \
+                grad_windows[..., dy, dx]
+    return gx
+
+
+def conv2d_reference(x, weights, bias, stride, pad, grad_out=None):
+    """Whole-batch convolution by einsum over the windows. Returns out, or
+    (out, (dx, dweights, dbias)) given grad_out; dbias is None without bias."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = _windows(xp, *weights.shape[2:], stride)
+    out = np.einsum("bcijyx,ocyx->boij", win, weights, optimize=True)
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    if grad_out is None:
+        return out
+    dw = np.einsum("bcijyx,boij->ocyx", win, grad_out, optimize=True)
+    db = grad_out.sum(axis=(0, 2, 3)) if bias is not None else None
+    gwin = np.einsum("boij,ocyx->bcijyx", grad_out, weights, optimize=True)
+    dxp = _scatter_windows(gwin, xp.shape, stride)
+    return out, (dxp[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]], dw, db)
+
+
+def pool_reference(x, mode, window, stride, grad_out=None):
+    """Whole-batch max or average pooling over the windows. Max routes each
+    window's gradient to its first maximum in row-major scan. Returns out, or
+    (out, dx) given grad_out."""
+    win = _windows(x, window, window, stride)
+    flat = win.reshape(*win.shape[:4], window * window)
+    out = flat.max(axis=-1) if mode == "max" else flat.mean(axis=-1)
+    if grad_out is None:
+        return out
+    if mode == "max":
+        onehot = np.arange(window * window) == flat.argmax(axis=-1)[..., None]
+        gflat = onehot * grad_out[..., None]
+    else:
+        gflat = np.broadcast_to(grad_out[..., None] / (window * window), flat.shape)
+    return out, _scatter_windows(gflat.reshape(win.shape), x.shape, stride)
 
 
 def perceptron_pool_loops(x, weights, bias, window, stride, activation="identity"):
@@ -161,3 +217,15 @@ def nearest_centroid_accuracy(images, labels, pool=4):
     dists = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     pred = classes[dists.argmin(axis=1)]
     return float((pred == labels).mean())
+
+
+def add_conv_biases(model):
+    """Give every bias-less Conv2d of `model` a zero bias, as model_a_like's
+    convolutions in front of BatchNorm2d had before it dropped them."""
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, Conv2d) and layer.bias is None:
+            twin = Conv2d(layer.in_channels, layer.out_channels, layer.kernel, layer.stride,
+                          layer.pad, dtype=layer.weights.dtype, name=layer.name)
+            twin.weights[...] = layer.weights
+            model.layers[i] = twin
+    return model

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from perceptpool import layers
 from perceptpool.gradcheck import check_layer
 from perceptpool.layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, ReLU,
                                 col2im, im2col, pool_out_dim, softmax_xent)
 
-from oracles import batchnorm_reference, conv2d_loops
+from oracles import batchnorm_reference, conv2d_loops, conv2d_reference, pool_reference
 
 
 class TestPoolOutDim:
@@ -51,6 +53,88 @@ class TestWindowEngine:
         lhs = float(np.vdot(cols, y))
         rhs = float(np.vdot(x, col2im(y, x.shape, stride)))
         assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+
+
+def _assert_close(actual, expected):
+    """Equal to 1e-12 of the expected array's scale."""
+    np.testing.assert_allclose(actual, expected, rtol=0,
+                               atol=1e-12 * max(1.0, float(np.abs(expected).max())))
+
+
+def _assert_spans_blocks(n, cols_per_item, budget):
+    """The batch spans at least three blocks, the last one short."""
+    blocks = layers._blocks(n, n * cols_per_item, budget)
+    sizes = [blk.stop - blk.start for blk in blocks]
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0], sizes
+
+
+class TestBatchBlocks:
+    """Conv2d and FixedPool run one batch block at a time; on float64 batches
+    spanning several blocks they match the whole-batch oracles in train and
+    eval mode."""
+
+    @pytest.mark.parametrize("kernel,stride,pad,shape", [
+        (3, 1, 1, (7, 8, 66, 66)),
+        (3, 2, 1, (7, 8, 130, 130)),
+        (2, 2, 0, (7, 16, 130, 130)),
+    ])
+    def test_conv2d_matches_whole_batch_reference(self, kernel, stride, pad, shape):
+        rng = np.random.default_rng([50, kernel, stride])
+        b, c, h, w = shape
+        conv = Conv2d(c, 5, kernel, stride, pad, rng=rng, dtype=np.float64)
+        conv.bias[...] = rng.normal(size=conv.bias.shape)
+        x = rng.normal(size=shape)
+        out = conv2d_reference(x, conv.weights, conv.bias, stride, pad)
+        _assert_spans_blocks(b, kernel * kernel * c * out.shape[2] * out.shape[3] * 8,
+                             layers._GEMM_BLOCK_BYTES)
+        grad_out = rng.normal(size=out.shape)
+        _, (dx, dw, db) = conv2d_reference(x, conv.weights, conv.bias, stride, pad, grad_out)
+        _assert_close(conv.forward(x, train=True), out)
+        _assert_close(conv.backward(grad_out), dx)
+        _assert_close(conv.weights_grad, dw)
+        _assert_close(conv.bias_grad, db)
+        _assert_close(conv.forward(x, train=False), out)
+
+    @pytest.mark.parametrize("mode,ties", [("max", False), ("average", False), ("max", True)],
+                             ids=["max", "average", "max_ties"])
+    @pytest.mark.parametrize("window,stride,shape", [(2, 2, (7, 3, 130, 130)), (3, 1, (7, 1, 66, 66))])
+    def test_fixed_pool_matches_whole_batch_reference(self, mode, ties, window, stride, shape):
+        rng = np.random.default_rng([52, window, stride])
+        b, c, h, w = shape
+        # Values from {0, 1, 2} tie within nearly every window, in the images on
+        # both sides of every block edge: the first-in-scan rule must hold per block.
+        x = rng.integers(0, 3, size=shape).astype(np.float64) if ties else rng.normal(size=shape)
+        pool = FixedPool(mode, window, stride)
+        out = pool_reference(x, mode, window, stride)
+        _assert_spans_blocks(b, window * window * c * out.shape[2] * out.shape[3] * 8,
+                             layers._BLOCK_BYTES)
+        grad_out = rng.normal(size=out.shape)
+        _, dx = pool_reference(x, mode, window, stride, grad_out)
+        _assert_close(pool.forward(x, train=True), out)
+        _assert_close(pool.backward(grad_out), dx)
+        _assert_close(pool.forward(x, train=False), out)
+
+
+@pytest.mark.parametrize("make, budget", [
+    (lambda: Conv2d(64, 128, 3, 1, 1, rng=np.random.default_rng(0)), "_GEMM_BLOCK_BYTES"),
+    (lambda: FixedPool("max", 2, 2), "_BLOCK_BYTES"),
+], ids=["conv2d", "max"])
+def test_eval_forward_allocates_no_full_batch_columns(make, budget):
+    """An eval forward's peak allocation stays within its output plus two
+    blocks' columns; a whole-batch column matrix would be 37.7 MB (Conv2d)
+    or 4.2 MB (max) here."""
+    layer = make()
+    x = np.random.default_rng(1).normal(size=(64, 64, 16, 16)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = layer.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kh, kw = layer.kernel if isinstance(layer, Conv2d) else layer.window
+    cols_per_image = kh * kw * x.shape[1] * out.shape[2] * out.shape[3] * x.itemsize
+    block_cols = max(getattr(layers, budget), cols_per_image)
+    assert peak < out.nbytes + 2 * block_cols, (peak, out.nbytes, block_cols)
 
 
 class TestConv2d:

@@ -12,6 +12,8 @@ from perceptpool.models import audit_params, build_model, rng_for
 from perceptpool.optim import make_optimizer
 from perceptpool.pooling import MlpPoolStack, PerceptronPool
 
+from oracles import add_conv_biases
+
 
 NON_DEFAULT_POOLING = {"window": 4, "stride": 4, "units": 4,
                        "activation": "relu", "use_bias": "false", "lr_factor": 0.5,
@@ -211,6 +213,33 @@ class TestBuildModel:
             with pytest.raises(RuntimeError):
                 layer.backward(np.zeros(shape, dtype=np.float32))
 
+    def test_no_conv_bias_in_front_of_batchnorm(self):
+        def conv_biases(model):
+            return [g.name for g in build_model(TrainConfig(model=model, data_kind="cifar10"))
+                    .param_groups() if g.name.startswith("conv") and g.name.endswith(".bias")]
+        assert conv_biases("model_a_like") == []
+        assert conv_biases("model_c_like") == ["conv1.bias", "conv2.bias", "conv3.bias"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dead_conv_biases_did_not_change_the_first_step(self, dtype):
+        # They started at 0, so logits and gradients are the same to the bit.
+        cfg = TrainConfig(model="model_a_like", pooling_kind="perceptron", data_kind="cifar10")
+        model, biased = build_model(cfg, dtype), add_conv_biases(build_model(cfg, dtype))
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 3, 32, 32)).astype(dtype)
+        labels = rng.integers(0, 10, 4)
+        results = []
+        for m in (model, biased):
+            logits = m.forward(x)
+            _, grad = softmax_xent(logits, labels)
+            gx = m.backward(grad)
+            results.append((logits, gx, {g.name: g.grad for g in m.param_groups()}))
+        (logits, gx, grads), (b_logits, b_gx, b_grads) = results
+        assert logits.tobytes() == b_logits.tobytes() and gx.tobytes() == b_gx.tobytes()
+        assert set(b_grads) - set(grads) == {"conv1.bias", "conv2.bias"}
+        for name, grad in grads.items():
+            assert grad.tobytes() == b_grads[name].tobytes(), name
+
     def test_pattern_init_applies_to_pooling_slots(self):
         cfg = TrainConfig(model="tiny_synth", pooling_kind="perceptron", pooling_init="pattern")
         model = build_model(cfg)
@@ -253,6 +282,11 @@ class TestAuditParams:
         audit = audit_params(cfg)
         model = build_model(cfg)
         assert audit.model_total == sum(g.param.size for g in model.param_groups())
+
+    def test_model_a_like_total_has_no_conv_biases(self):
+        # 157,972 with the 64 + 128 conv biases in front of its BatchNorm2d layers
+        cfg = TrainConfig(model="model_a_like", pooling_kind="perceptron", data_kind="cifar10")
+        assert audit_params(cfg).model_total == 157_780
 
     def test_format_lists_each_slot(self):
         cfg = TrainConfig(model="model_c_like", pooling_kind="perceptron", data_kind="cifar10")

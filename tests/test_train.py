@@ -12,6 +12,8 @@ from perceptpool.train import (TrainingDiverged, _diagnose_nonfinite, evaluate_c
                                evaluate_model, load_checkpoint, prepare_data, save_checkpoint,
                                train)
 
+from oracles import add_conv_biases
+
 
 def tiny_config(**overrides):
     base = dict(model="tiny_synth", pooling_kind="perceptron", epochs=3, seed=11,
@@ -175,6 +177,14 @@ class TestCheckpoints:
                         + raw[20 + blob_len:])
         assert load_checkpoint(old)[1] == tiny_config()
         assert evaluate_checkpoint(old) == result.final_val_acc
+
+    def test_checkpoint_with_dead_conv_biases_names_the_file(self, tmp_path):
+        # model_a_like checkpoints written while conv1 and conv2 had biases
+        cfg = TrainConfig(model="model_a_like", pooling_kind="perceptron", data_kind="cifar10")
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, add_conv_biases(build_model(cfg)), cfg)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*tensors recorded"):
+            load_checkpoint(path)
 
     def test_state_includes_batchnorm_running_stats(self, tmp_path):
         cfg = TrainConfig(model="model_a_like", pooling_kind="average", data_kind="synth",
