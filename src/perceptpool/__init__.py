@@ -14,8 +14,7 @@ from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU
 from .models import Sequential, audit_params, build_model
 from .optim import Adam, ParamGroup, SGD, StepSchedule
 from .pooling import (MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing,
-                      complexity_probe, loglog_slope, param_count, restructure,
-                      unrestructure)
+                      param_count, restructure, unrestructure)
 from .train import evaluate_checkpoint, evaluate_model, load_checkpoint, save_checkpoint, train
 
 __version__ = "0.1.0"
@@ -24,8 +23,8 @@ __all__ = [
     "Adam", "BatchNorm2d", "Conv2d", "Dense", "FixedPool", "Flatten", "GradReport",
     "Layer", "MlpPoolStack", "ParamGroup", "PerceptronPool", "PerceptronUpsample",
     "ReLU", "SGD", "Sequential", "Sharing", "StepSchedule", "TrainConfig",
-    "audit_params", "build_model", "check_layer", "complexity_probe",
-    "evaluate_checkpoint", "evaluate_model", "fd_gradient", "load_checkpoint",
-    "load_config", "loglog_slope", "param_count", "parse_config", "pool_out_dim",
+    "audit_params", "build_model", "check_layer", "evaluate_checkpoint",
+    "evaluate_model", "fd_gradient", "load_checkpoint", "load_config",
+    "param_count", "parse_config", "pool_out_dim",
     "restructure", "save_checkpoint", "softmax_xent", "train", "unrestructure",
 ]

@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: train, eval, gradcheck, audit, bench-pool. The dataset root
+Subcommands: train, eval, gradcheck, audit. The dataset root
 for CIFAR-10 comes from --data, the config, or $PERCEPTPOOL_DATA_ROOT.
 """
 
@@ -16,8 +16,7 @@ from .data import DATA_ROOT_ENV
 from .gradcheck import check_layer
 from .layers import BatchNorm2d, Conv2d, Dense, FixedPool, ReLU
 from .models import audit_params
-from .pooling import (MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing,
-                      complexity_probe, loglog_slope)
+from .pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing
 from .train import evaluate_checkpoint, train
 
 
@@ -113,20 +112,6 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_bench_pool(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = complexity_probe(
-        lambda: PerceptronPool(2, 2, units=args.units, dtype=np.float32),
-        sizes, repeats=args.repeats, min_seconds=0.03,
-    )
-    print(f"{'size':>6} {'area':>10} {'seconds':>12} {'reliable':>9}")
-    for r in rows:
-        print(f"{r['size']:>6} {r['area']:>10} {r['seconds']:>12.6f} {str(r['reliable']):>9}")
-    slope = loglog_slope(rows)
-    print(f"log-log slope (time vs area): {slope:.3f}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="perceptpool",
                                      description="perceptron pooling experiments")
@@ -153,12 +138,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("audit", help="per-slot pooling parameter table")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("bench-pool", help="forward-time scaling over input sizes")
-    p.add_argument("--sizes", default="64,128,256,512")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--units", type=int, default=1)
-    p.set_defaults(func=cmd_bench_pool)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -15,12 +15,12 @@ depth-to-space rearrangement ("pixel shuffle") of Shi et al. 2016
 (arXiv 1609.05158), with the units as the depth axis. With four units and
 stride two the output tensor keeps the input's spatial size, so further
 perceptron layers can be stacked on top, forming a small MLP inside the
-network (MlpPoolStack). When the next layer's window and stride equal the
-block, each of its windows is exactly one unit block, so an aligned stack
-is a per-window MLP chained on the unit outputs: only its first layer
-reads im2col columns and only its output is restructured. Run at stride 1
-over a zero-padded input, u*u units expand every position into a u x u
-block instead: a learned u-times upscaling (PerceptronUpsample).
+network (MlpPoolStack). Every stack layer after the first must have window
+and stride equal to the previous layer's block, so each of its windows is
+exactly one unit block: the stack is a per-window MLP chained on the unit
+outputs. PerceptronUpsample is a stride-1 PerceptronPool over a zero-padded
+input: u*u units expand every position into a u x u block, a learned
+u-times upscaling.
 
 Weight sharing variants control how many independent perceptron instances
 are created:
@@ -32,18 +32,17 @@ Instance counts for the non-GLOBAL modes depend on the input shape and are
 bound at first forward (or an explicit bind); changing the relevant shape
 afterwards is an error.
 
-Every mode runs on the same engine: the windows are copied out once by
-layers.im2col, one einsum per direction contracts them with the weights
-(the sharing mode only changes the weight subscripts), and depth-to-space
-restructures the unit outputs; the input gradient goes back through
-layers.col2im.
+All three run one chain engine (_chain_forward/_chain_backward): the first
+layer's windows are copied out once by layers.im2col, each layer is one
+einsum per direction on unit outputs (the sharing mode only changes the
+weight subscripts), and depth-to-space restructures the last layer's units;
+the input gradient goes back through layers.col2im.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import time
 
 import numpy as np
 
@@ -110,13 +109,53 @@ _WEIGHT_SUBSCRIPTS = {
 }
 
 
-class _PerceptronWindowLayer(Layer):
-    """Shared machinery for the pooling and upsampling variants."""
+def _chain_forward(layers, x, train):
+    """Output of perceptron layers chained on unit outputs: im2col for the
+    first layer, one unit layer each, depth-to-space of the last one's units."""
+    first = layers[0]
+    units = im2col(x, *first.window, first.stride)
+    units = units.reshape(-1, *units.shape[2:])
+    for layer in layers:
+        units = layer._units_forward(units, train)
+    return restructure(np.moveaxis(units, 0, 2), layers[-1].block)
 
-    def __init__(self, window, stride, units, sharing, use_bias, activation,
-                 lr_factor, wd_factor, init, rng, dtype, name):
+
+def _chain_backward(layers, grad_out):
+    """Adjoint of _chain_forward: accumulate every layer's parameter
+    gradients and return the gradient of the chain's input."""
+    last = layers[-1]
+    if last._saved is None:
+        raise RuntimeError(f"{last.name}: backward requires a training-mode forward")
+    _, b, c, oh, ow = last._saved[0].shape
+    expected = (b, c, oh * last.block, ow * last.block)
+    if grad_out.shape != expected:
+        raise ValueError(f"{last.name}: grad_out shape {grad_out.shape} does not match "
+                         f"forward output {expected}")
+    grad = np.moveaxis(unrestructure(grad_out, last.block), 2, 0)
+    for layer in reversed(layers):
+        grad = layer._units_backward(grad)
+    (wh, ww), s = layers[0].window, layers[0].stride
+    _, b, c, oh, ow = grad.shape
+    return col2im(grad.reshape(wh, ww, b, c, oh, ow),
+                  (b, c, (oh - 1) * s + wh, (ow - 1) * s + ww), s)
+
+
+class PerceptronPool(Layer):
+    """Perceptron(s) as a pooling operator.
+
+    With units == 1 this is plain perceptron pooling: output spatial size is
+    (in - window)/stride + 1 per axis. With units == q*q the restructured
+    output is q times larger than that, e.g. four units at stride two keep
+    the input's spatial size.
+    """
+
+    def __init__(self, window=2, stride=None, units: int = 1, sharing=Sharing.GLOBAL,
+                 use_bias: bool = True, activation: str = "identity",
+                 lr_factor: float = 0.1, wd_factor: float = 0.0,
+                 init: str = "average", rng: np.random.Generator | None = None,
+                 dtype=np.float32, name: str = "ppool"):
         self.window = _pair(window)
-        self.stride = int(stride)
+        self.stride = self.window[0] if stride is None else int(stride)
         self.units = int(units)
         self.sharing = Sharing.parse(sharing)
         self.use_bias = bool(use_bias)
@@ -184,7 +223,26 @@ class _PerceptronWindowLayer(Layer):
                                      self.lr_factor, self.wd_factor))
         return groups
 
-    # -- one windowed GEMM per direction, then depth-to-space ---------------
+    def _out_positions(self, height, width):
+        wh, ww = self.window
+        try:
+            return pool_out_dim(height, wh, self.stride), pool_out_dim(width, ww, self.stride)
+        except ValueError as e:
+            raise ValueError(f"{self.name}: {e}") from None
+
+    def output_shape(self, in_shape):
+        b, c, h, w = in_shape
+        oh, ow = self._out_positions(h, w)
+        return (b, c, oh * self.block, ow * self.block)
+
+    def forward(self, x, train: bool = True):
+        self.bind(*x.shape[1:])
+        return _chain_forward([self], x, train)
+
+    def backward(self, grad_out):
+        return _chain_backward([self], grad_out)
+
+    # -- one einsum per direction on unit outputs ----------------------------
 
     @property
     def _matmul(self) -> bool:
@@ -203,7 +261,7 @@ class _PerceptronWindowLayer(Layer):
         bias = np.einsum(f"{sub}->{order}", self.bias.reshape(*self._bound_key, self.units))
         return np.expand_dims(bias, [p for p, label in enumerate("kbcij") if label not in sub])
 
-    def _units_forward(self, cols, in_shape, train):
+    def _units_forward(self, cols, train):
         """Unit outputs (units, B, C, oH, oW) from columns (wh*ww, B, C, oH, oW)."""
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
         weights = self.weights.reshape(*self._bound_key, self.units, -1)
@@ -211,7 +269,7 @@ class _PerceptronWindowLayer(Layer):
         if self.bias is not None:
             pre += self._bias_view()
         relu = self.activation == "relu"
-        self._saved = (in_shape, cols, pre if relu else None) if train else None
+        self._saved = (cols, pre if relu else None) if train else None
         return np.maximum(pre, 0) if relu else pre
 
     def _units_backward(self, grad_units):
@@ -220,7 +278,7 @@ class _PerceptronWindowLayer(Layer):
         gradient (wh*ww, B, C, oH, oW)."""
         if self._saved is None:
             raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
-        _, cols, pre = self._saved
+        cols, pre = self._saved
         if pre is not None:
             grad_units *= pre > 0
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
@@ -232,77 +290,13 @@ class _PerceptronWindowLayer(Layer):
         # Units first: einsum's matmul route then writes the columns contiguously.
         return np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self._matmul)
 
-    def _window_forward(self, cols, in_shape, train):
-        """Restructured output from the im2col columns (wh, ww, B, C, oH, oW)."""
-        units = self._units_forward(cols.reshape(-1, *cols.shape[2:]), in_shape, train)
-        return restructure(np.moveaxis(units, 0, 2), self.block)
-
-    def _window_backward(self, grad_out):
-        """Accumulate parameter gradients; return the gradient of the im2col
-        columns (wh, ww, B, C, oH, oW) and the forward's input shape."""
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
-        in_shape = self._saved[0]
-        if grad_out.shape != self.output_shape(in_shape):
-            raise ValueError(
-                f"{self.name}: grad_out shape {grad_out.shape} does not match forward output "
-                f"{self.output_shape(in_shape)}"
-            )
-        grad_cols = self._units_backward(np.moveaxis(unrestructure(grad_out, self.block), 2, 0))
-        return grad_cols.reshape(*self.window, *grad_cols.shape[1:]), in_shape
-
     def kink_margin(self):
-        if self._saved is None or self._saved[2] is None:
+        if self._saved is None or self._saved[1] is None:
             return None
-        return float(np.min(np.abs(self._saved[2])))
-
-    def _out_positions(self, height, width):
-        raise NotImplementedError
+        return float(np.min(np.abs(self._saved[1])))
 
 
-class PerceptronPool(_PerceptronWindowLayer):
-    """Perceptron(s) as a pooling operator.
-
-    With units == 1 this is plain perceptron pooling: output spatial size is
-    (in - window)/stride + 1 per axis. With units == q*q the restructured
-    output is q times larger than that, e.g. four units at stride two keep
-    the input's spatial size.
-    """
-
-    def __init__(self, window=2, stride=None, units: int = 1, sharing=Sharing.GLOBAL,
-                 use_bias: bool = True, activation: str = "identity",
-                 lr_factor: float = 0.1, wd_factor: float = 0.0,
-                 init: str = "average", rng: np.random.Generator | None = None,
-                 dtype=np.float32, name: str = "ppool"):
-        window = _pair(window)
-        if stride is None:
-            stride = window[0]
-        super().__init__(window, stride, units, sharing, use_bias, activation,
-                         lr_factor, wd_factor, init, rng, dtype, name)
-
-    def _out_positions(self, height, width):
-        wh, ww = self.window
-        try:
-            return pool_out_dim(height, wh, self.stride), pool_out_dim(width, ww, self.stride)
-        except ValueError as e:
-            raise ValueError(f"{self.name}: {e}") from None
-
-    def output_shape(self, in_shape):
-        b, c, h, w = in_shape
-        oh, ow = self._out_positions(h, w)
-        return (b, c, oh * self.block, ow * self.block)
-
-    def forward(self, x, train: bool = True):
-        _, c, h, w = x.shape
-        self.bind(c, h, w)
-        return self._window_forward(im2col(x, *self.window, self.stride), x.shape, train)
-
-    def backward(self, grad_out):
-        grad_cols, in_shape = self._window_backward(grad_out)
-        return col2im(grad_cols, in_shape, self.stride)
-
-
-class PerceptronUpsample(_PerceptronWindowLayer):
+class PerceptronUpsample(PerceptronPool):
     """u*u perceptrons at stride 1 as a learned u-times spatial upscaling.
 
     The input is zero padded (left/top biased for even windows) so that the
@@ -319,41 +313,29 @@ class PerceptronUpsample(_PerceptronWindowLayer):
                          lr_factor, wd_factor, init, rng, dtype, name)
         if self.block < 2:
             raise ValueError(f"upsampling needs units = u*u with u >= 2, got {units}")
-
-    def _pads(self):
         wh, ww = self.window
-        return (wh // 2, (wh - 1) // 2), (ww // 2, (ww - 1) // 2)
+        self._pads = ((wh // 2, (wh - 1) // 2), (ww // 2, (ww - 1) // 2))
 
     def _out_positions(self, height, width):
         return height, width
 
-    def output_shape(self, in_shape):
-        b, c, h, w = in_shape
-        return (b, c, h * self.block, w * self.block)
-
     def forward(self, x, train: bool = True):
-        _, c, h, w = x.shape
-        self.bind(c, h, w)
-        (pt, pb), (pl, pr) = self._pads()
-        xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-        return self._window_forward(im2col(xp, *self.window, 1), x.shape, train)
+        self.bind(*x.shape[1:])
+        return _chain_forward([self], np.pad(x, ((0, 0), (0, 0), *self._pads)), train)
 
     def backward(self, grad_out):
-        grad_cols, (b, c, h, w) = self._window_backward(grad_out)
-        (pt, pb), (pl, pr) = self._pads()
-        gxp = col2im(grad_cols, (b, c, h + pt + pb, w + pl + pr), 1)
-        return gxp[:, :, pt : pt + h, pl : pl + w]
+        gxp = _chain_backward([self], grad_out)
+        (pt, pb), (pl, pr) = self._pads
+        return gxp[:, :, pt : gxp.shape[2] - pb, pl : gxp.shape[3] - pr]
 
 
 class MlpPoolStack(Layer):
-    """Ordered perceptron pooling layers whose restructured outputs feed the
-    next layer, e.g. NN-4-1 = [4 units of 2x2/2, 1 unit of 2x2/2].
+    """Ordered perceptron pooling layers, each reading the previous layer's
+    restructured output, e.g. NN-4-1 = [4 units of 2x2/2, 1 unit of 2x2/2].
 
-    A layer whose window and stride equal the previous layer's block is
-    aligned: it reads the previous unit outputs as its columns, so an
-    aligned stack (as every model builds) is a per-window MLP chained on
-    unit outputs. Only the first layer, a misaligned layer and the stack
-    output go through im2col and depth-to-space.
+    Every layer after the first must be aligned: its window and stride equal
+    the previous layer's block, so it reads the previous unit outputs as its
+    columns and the stack is one chain of per-window unit layers.
     """
 
     def __init__(self, layers: list[PerceptronPool], name: str = "mlppool"):
@@ -364,11 +346,11 @@ class MlpPoolStack(Layer):
         for i, layer in enumerate(self.layers):
             if not layer.name or layer.name.startswith("ppool"):
                 layer.name = f"{name}.{i}"
-
-    def _aligned(self, i: int) -> bool:
-        """Whether layer i's windows are exactly the previous layer's unit blocks."""
-        q = self.layers[i - 1].block
-        return i > 0 and self.layers[i].window == (q, q) and self.layers[i].stride == q
+        for i, (prev, layer) in enumerate(zip(self.layers, self.layers[1:]), start=1):
+            q = prev.block
+            if (layer.window, layer.stride) != ((q, q), q):
+                raise ValueError(f"{name}: layer {i} has window {layer.window} and stride "
+                                 f"{layer.stride}, not the {q}x{q}/{q} unit blocks of layer {i - 1}")
 
     def bind(self, channels, height, width):
         shape = (1, channels, height, width)
@@ -387,32 +369,10 @@ class MlpPoolStack(Layer):
 
     def forward(self, x, train: bool = True):
         self.bind(*x.shape[1:])
-        shape, units = x.shape, None
-        for i, layer in enumerate(self.layers):
-            if not self._aligned(i):
-                if units is not None:
-                    x = restructure(np.moveaxis(units, 0, 2), self.layers[i - 1].block)
-                units = im2col(x, *layer.window, layer.stride)
-                units = units.reshape(-1, *units.shape[2:])
-            units = layer._units_forward(units, shape, train)
-            shape = layer.output_shape(shape)
-        return restructure(np.moveaxis(units, 0, 2), layer.block)
+        return _chain_forward(self.layers, x, train)
 
     def backward(self, grad_out):
-        grad_units = None
-        for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
-            if grad_units is None:  # checks the training state and grad_out's shape
-                grad_cols = layer._window_backward(grad_out)[0]
-            else:
-                grad_cols = layer._units_backward(grad_units)
-            # (wh, ww, B, C, oH, oW) or (wh*ww, B, C, oH, oW)
-            if self._aligned(i):
-                grad_units = grad_cols.reshape(-1, *grad_cols.shape[-4:])
-            else:
-                cols = grad_cols.reshape(*layer.window, *grad_cols.shape[-4:])
-                grad_out, grad_units = col2im(cols, layer._saved[0], layer.stride), None
-        return grad_out
+        return _chain_backward(self.layers, grad_out)
 
     def param_groups(self):
         return [g for layer in self.layers for g in layer.param_groups()]
@@ -427,50 +387,7 @@ def param_count(obj) -> int:
     instances * units * (W*H + 1), the +1 dropped without a bias term."""
     if isinstance(obj, MlpPoolStack):
         return sum(param_count(layer) for layer in obj.layers)
-    if isinstance(obj, _PerceptronWindowLayer):
+    if isinstance(obj, PerceptronPool):
         wh, ww = obj.window
         return obj.instances * obj.units * (wh * ww + (1 if obj.use_bias else 0))
     raise TypeError(f"param_count expects a perceptron pooling layer or stack, got {type(obj)!r}")
-
-
-def complexity_probe(layer_factory, sizes, batch: int = 2, channels: int = 8,
-                     repeats: int = 3, min_seconds: float = 0.01, seed: int = 0):
-    """Wall-clock forward time per spatial size.
-
-    Returns one row per size: {"size", "area", "seconds", "reliable"}.
-    Each measurement loops the forward enough times to clear the timer
-    floor; rows that still land under it are flagged unreliable so a fit
-    can exclude them.
-    """
-    sizes = [int(s) for s in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"sizes must be strictly increasing, got {sizes}")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for s in sizes:
-        layer = layer_factory()
-        x = rng.standard_normal((batch, channels, s, s)).astype(np.float32)
-        layer.forward(x)  # warm-up and bind
-        t0 = time.perf_counter()
-        layer.forward(x)
-        once = max(time.perf_counter() - t0, 1e-9)
-        loops = max(1, int(math.ceil(min_seconds / once)))
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for _ in range(loops):
-                layer.forward(x)
-            best = min(best, (time.perf_counter() - t0) / loops)
-        rows.append({"size": s, "area": s * s, "seconds": best, "reliable": best >= 2e-5})
-    return rows
-
-
-def loglog_slope(rows) -> float:
-    """Least-squares slope of log(seconds) vs log(area), unreliable rows
-    (measurement floor) excluded."""
-    pts = [(r["area"], r["seconds"]) for r in rows if r.get("reliable", True)]
-    if len(pts) < 2:
-        raise ValueError("need at least two reliable measurements to fit a slope")
-    xs = np.log([p[0] for p in pts])
-    ys = np.log([p[1] for p in pts])
-    return float(np.polyfit(xs, ys, 1)[0])

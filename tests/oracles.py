@@ -6,8 +6,12 @@ mathematical definitions, except the whole-batch `conv2d_reference` and
 they run at test sizes that span several of the library's batch blocks;
 `batchnorm_reference` keeps the textbook formulas that the two-pass
 BatchNorm2d kernel replaced. None of them shares code with the library paths
-it checks.
+it checks. `complexity_probe` and `loglog_slope` time a layer's forward over
+input sizes for the linear-cost check (criterion 7).
 """
+
+import math
+import time
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -229,3 +233,46 @@ def add_conv_biases(model):
             twin.weights[...] = layer.weights
             model.layers[i] = twin
     return model
+
+
+def complexity_probe(layer_factory, sizes, batch: int = 2, channels: int = 8,
+                     repeats: int = 3, min_seconds: float = 0.01, seed: int = 0):
+    """Wall-clock forward time per spatial size.
+
+    Returns one row per size: {"size", "area", "seconds", "reliable"}.
+    Each measurement loops the forward enough times to clear the timer
+    floor; rows that still land under it are flagged unreliable so a fit
+    can exclude them.
+    """
+    sizes = [int(s) for s in sizes]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must be strictly increasing, got {sizes}")
+    rng = np.random.default_rng(seed)
+    rows = []
+    for s in sizes:
+        layer = layer_factory()
+        x = rng.standard_normal((batch, channels, s, s)).astype(np.float32)
+        layer.forward(x)  # warm-up and bind
+        t0 = time.perf_counter()
+        layer.forward(x)
+        once = max(time.perf_counter() - t0, 1e-9)
+        loops = max(1, int(math.ceil(min_seconds / once)))
+        best = math.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(loops):
+                layer.forward(x)
+            best = min(best, (time.perf_counter() - t0) / loops)
+        rows.append({"size": s, "area": s * s, "seconds": best, "reliable": best >= 2e-5})
+    return rows
+
+
+def loglog_slope(rows) -> float:
+    """Least-squares slope of log(seconds) vs log(area), unreliable rows
+    (measurement floor) excluded."""
+    pts = [(r["area"], r["seconds"]) for r in rows if r.get("reliable", True)]
+    if len(pts) < 2:
+        raise ValueError("need at least two reliable measurements to fit a slope")
+    xs = np.log([p[0] for p in pts])
+    ys = np.log([p[1] for p in pts])
+    return float(np.polyfit(xs, ys, 1)[0])

@@ -18,9 +18,10 @@ from perceptpool.config import TrainConfig
 from perceptpool.gradcheck import check_layer
 from perceptpool.layers import FixedPool
 from perceptpool.models import audit_params
-from perceptpool.pooling import (MlpPoolStack, PerceptronPool, PerceptronUpsample,
-                                 complexity_probe, loglog_slope, param_count)
+from perceptpool.pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, param_count
 from perceptpool.train import train
+
+from oracles import complexity_probe, loglog_slope
 
 
 def cifar_root():

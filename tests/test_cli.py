@@ -76,10 +76,3 @@ class TestTrainEvalCommands:
         assert "best of 2" in out
         assert (out_dir / "run0" / "checkpoint.ckpt").exists()
         assert (out_dir / "run1" / "checkpoint.ckpt").exists()
-
-
-class TestBenchCommand:
-    def test_bench_prints_slope(self, capsys):
-        assert main(["bench-pool", "--sizes", "16,32,64", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "slope" in out
