@@ -263,6 +263,17 @@ class TestMlpStack:
             MlpPoolStack([PerceptronPool(2, 2, units=1, dtype=np.float64),
                           PerceptronPool(3, 3, units=1, dtype=np.float64)])
 
+    @pytest.mark.parametrize("spec, index", [
+        ([(1, 2, 2), (1, 2, 2)], 1),  # 1x1 unit blocks read as 2x2 windows
+        ([(4, 2, 2), (1, 2, 1)], 1),  # right window, overlapping stride
+        ([(4, 2, 2), (16, 2, 2), (1, 2, 2)], 2),  # 4x4 blocks read as 2x2 windows
+    ])
+    def test_misaligned_layer_rejected_at_construction(self, spec, index):
+        layers = [PerceptronPool(window, stride, units=units, dtype=np.float64)
+                  for units, window, stride in spec]
+        with pytest.raises(ValueError, match=f"layer {index} "):
+            MlpPoolStack(layers)
+
     def test_stack_gradients(self):
         rng = np.random.default_rng(18)
         for stack in (nn_4_1(), nn_16_1(),
@@ -287,6 +298,7 @@ STACK_SPECS = {  # (units, window, stride) per layer
     "nn_4_1": [(4, 2, 2), (1, 2, 2)],
     "nn_16_1": [(16, 2, 2), (1, 4, 4)],
     "three_layers": [(4, 2, 2), (4, 2, 2), (1, 2, 2)],
+    "mixed_blocks": [(4, 2, 2), (16, 2, 2), (1, 4, 4)],  # block side 2, then 4
 }
 
 
