@@ -2,6 +2,12 @@
 
 Subcommands: train, eval, gradcheck, audit. The dataset root
 for CIFAR-10 comes from --data, the config, or $PERCEPTPOOL_DATA_ROOT.
+
+gradcheck reads a pooling-kind spec as a config: `nn_field:units=4` is
+`pooling.kind = nn_field` plus `pooling.units = 4`, checked like any config
+and built by models.make_pooling_slot. The other specs are conv2d, dense,
+batchnorm, relu and upsample; only upsample takes options (units, window,
+activation).
 """
 
 from __future__ import annotations
@@ -11,12 +17,12 @@ import sys
 
 import numpy as np
 
-from .config import POOLING_KINDS, load_config
+from .config import POOLING_KINDS, load_config, parse_config
 from .data import DATA_ROOT_ENV
 from .gradcheck import check_layer
-from .layers import BatchNorm2d, Conv2d, Dense, FixedPool, ReLU
-from .models import audit_params
-from .pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing
+from .layers import BatchNorm2d, Conv2d, Dense, ReLU
+from .models import Sequential, audit_params, make_pooling_slot
+from .pooling import PerceptronUpsample
 from .train import evaluate_checkpoint, train
 
 
@@ -36,41 +42,27 @@ def build_check_layer(spec: str):
     """Construct a float64 layer plus a matching input shape for gradcheck."""
     name, o = _parse_layer_spec(spec)
     f64 = np.float64
-    units = int(o.get("units", 1))
-    window = int(o.get("window", 2))
-    stride = int(o.get("stride", window))
-    sharing = Sharing.parse(o.get("sharing", "global"))
-    activation = o.get("activation", "identity")
-    use_bias = o.get("use_bias", "true").lower() != "false"
+    if name in POOLING_KINDS:
+        text = "\n".join([f"pooling.kind = {name}", *(f"pooling.{k} = {v}" for k, v in o.items())])
+        slot = make_pooling_slot(parse_config(text), "pool", 3, dtype=f64)
+        return (slot[0] if len(slot) == 1 else Sequential(slot)), (2, 3, 8, 8)
+    if name not in ("conv2d", "dense", "batchnorm", "relu", "upsample"):
+        raise ValueError(f"unknown layer spec {name!r}")
+    read = ("units", "window", "activation") if name == "upsample" else ()
+    unread = [k for k in o if k not in read]
+    if unread:
+        raise ValueError(f"layer spec {name!r} does not read option(s) {', '.join(unread)}")
     if name == "conv2d":
         return Conv2d(2, 3, kernel=3, stride=1, pad=1, dtype=f64), (2, 2, 5, 5)
-    if name == "strided_conv":
-        return Conv2d(3, 3, kernel=2, stride=2, pad=0, dtype=f64), (2, 3, 6, 6)
     if name == "dense":
         return Dense(11, 7, dtype=f64), (3, 11)
     if name == "batchnorm":
         return BatchNorm2d(3, dtype=f64), (2, 3, 4, 4)
     if name == "relu":
         return ReLU(), (2, 3, 4, 4)
-    if name in ("maxpool", "avgpool"):
-        return FixedPool("max" if name == "maxpool" else "average", 2, 2), (2, 3, 6, 6)
-    if name == "perceptron":
-        layer = PerceptronPool(window=window, stride=stride, units=units, sharing=sharing,
-                               use_bias=use_bias, activation=activation, dtype=f64)
-        return layer, (2, 3, 6, 6)
-    if name == "gap_perceptron":
-        return PerceptronPool(window=8, stride=8, lr_factor=1e-3, dtype=f64), (2, 2, 8, 8)
-    if POOLING_KINDS.get(name) and POOLING_KINDS[name][1]:  # nn_4_1, nn_16_1
-        stack = MlpPoolStack([
-            PerceptronPool(w, s, units=u, sharing=sharing, activation=activation, dtype=f64)
-            for u, w, s in POOLING_KINDS[name][1]
-        ])
-        return stack, (2, 2, 8, 8)
-    if name == "upsample":
-        layer = PerceptronUpsample(window=window, units=int(o.get("units", 4)),
-                                   sharing=sharing, activation=activation, dtype=f64)
-        return layer, (2, 2, 5, 5)
-    raise ValueError(f"unknown layer spec {name!r}")
+    layer = PerceptronUpsample(window=int(o.get("window", 2)), units=int(o.get("units", 4)),
+                               activation=o.get("activation", "identity"), dtype=f64)
+    return layer, (2, 2, 5, 5)
 
 
 def cmd_train(args) -> int:
@@ -130,7 +122,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of one layer")
     p.add_argument("--layer", required=True,
-                   help="e.g. perceptron, perceptron:sharing=per_field, nn_16_1, upsample:units=16")
+                   help="a pooling kind with pooling.* options (e.g. nn_field:units=4,activation=relu), "
+                        "conv2d, dense, batchnorm, relu, or upsample:units=16")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

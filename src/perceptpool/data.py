@@ -77,25 +77,23 @@ def load_cifar10(root=None):
 def normalize(images, dtype=np.float32) -> np.ndarray:
     """(x - channel mean) / 256 per channel; accepts (..., 3, H, W)."""
     x = np.asarray(images, dtype=np.float64)
-    means = CHANNEL_MEANS.reshape((3, 1, 1) if x.ndim == 3 else (1, 3, 1, 1))
-    return ((x - means) / SCALE).astype(dtype)
+    return ((x - CHANNEL_MEANS[:, None, None]) / SCALE).astype(dtype)
 
 
-def augment_crop(images, rng: np.random.Generator, pad: int = CROP_PAD) -> np.ndarray:
-    """Center each image on a zero canvas pad pixels wider per side and cut a
-    random original-size crop (offsets 0..2*pad inclusive, per image)."""
+def augment_crop(images, rng: np.random.Generator) -> np.ndarray:
+    """Center each image of a (N, C, H, W) batch on a zero canvas CROP_PAD
+    pixels wider per side and cut a random original-size crop (offsets
+    0..2*CROP_PAD inclusive, per image)."""
     x = np.asarray(images)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
     n, c, h, w = x.shape
+    pad = CROP_PAD
     padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     padded[:, :, pad : pad + h, pad : pad + w] = x
     offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
     out = np.empty_like(x)
     for i, (oy, ox) in enumerate(offsets):
         out[i] = padded[i, :, oy : oy + h, ox : ox + w]
-    return out[0] if squeeze else out
+    return out
 
 
 def make_batches(images, labels, batch_size: int, rng: np.random.Generator,

@@ -17,6 +17,7 @@ import numpy as np
 
 _REL_FLOOR = 1e-8
 _KINK_CLEARANCE = 1e-3
+_MAX_RESAMPLE = 50
 
 
 @dataclass
@@ -93,7 +94,7 @@ def _compare(analytic: np.ndarray, numeric: np.ndarray, name: str) -> GroupRepor
 
 
 def check_layer(layer, input_shape, seed: int = 0, tolerance: float = 1e-4,
-                h: float = 1e-5, train: bool = True, max_resample: int = 50) -> GradReport:
+                h: float = 1e-5) -> GradReport:
     """Verify a layer's input and parameter gradients against central
     differences on float64 inputs. The layer must be built in float64.
 
@@ -103,12 +104,12 @@ def check_layer(layer, input_shape, seed: int = 0, tolerance: float = 1e-4,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=input_shape)
 
-    layer.forward(x, train)  # bind any shape-dependent parameters first
+    layer.forward(x)  # bind any shape-dependent parameters first
     for g in layer.param_groups():
         g.param[...] = rng.uniform(-1.0, 1.0, size=g.param.shape)
 
-    for _ in range(max_resample):
-        out = layer.forward(x, train)
+    for _ in range(_MAX_RESAMPLE):
+        out = layer.forward(x)
         margin = layer.kink_margin()
         if margin is None or margin > _KINK_CLEARANCE:
             break
@@ -119,12 +120,12 @@ def check_layer(layer, input_shape, seed: int = 0, tolerance: float = 1e-4,
     projection = rng.standard_normal(out.shape)
 
     def loss() -> float:
-        value = float(np.sum(layer.forward(x, train) * projection))
+        value = float(np.sum(layer.forward(x) * projection))
         if not np.isfinite(value):
             raise FloatingPointError("layer produced a non-finite evaluation")
         return value
 
-    layer.forward(x, train)
+    layer.forward(x)
     layer.zero_grad()
     analytic_in = layer.backward(projection.copy())
     analytic_params = [(g.name, g.grad.copy()) for g in layer.param_groups()]

@@ -124,11 +124,19 @@ class Layer:
         return None
 
 
+def _weight_bias_groups(layer, *factors) -> list[ParamGroup]:
+    """The `<name>.weight` group, then `<name>.bias` when the layer has a bias;
+    `factors` (lr_factor, wd_factor) go to both, ParamGroup's defaults if omitted."""
+    groups = [ParamGroup(f"{layer.name}.weight", layer.weights, layer.weights_grad, *factors)]
+    if layer.bias is not None:
+        groups.append(ParamGroup(f"{layer.name}.bias", layer.bias, layer.bias_grad, *factors))
+    return groups
+
+
 class Conv2d(Layer):
     """Cross-correlation with per-output-channel bias (im2col + GEMM)."""
 
-    def __init__(self, in_channels, out_channels, kernel=3, stride=1, pad=0,
-                 use_bias: bool = True, lr_factor: float = 1.0, wd_factor: float = 1.0,
+    def __init__(self, in_channels, out_channels, kernel=3, stride=1, pad=0, use_bias: bool = True,
                  rng: np.random.Generator | None = None, dtype=np.float32, name: str = "conv"):
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
@@ -137,8 +145,6 @@ class Conv2d(Layer):
         self.pad = int(pad)
         if self.stride < 1 or self.pad < 0:
             raise ValueError("stride must be >= 1 and pad >= 0")
-        self.lr_factor = lr_factor
-        self.wd_factor = wd_factor
         self.name = name
         kh, kw = self.kernel
         wshape = (self.out_channels, self.in_channels, kh, kw)
@@ -154,12 +160,7 @@ class Conv2d(Layer):
         self._saved = None
 
     def param_groups(self):
-        groups = [ParamGroup(f"{self.name}.weight", self.weights, self.weights_grad,
-                             self.lr_factor, self.wd_factor)]
-        if self.bias is not None:
-            groups.append(ParamGroup(f"{self.name}.bias", self.bias, self.bias_grad,
-                                     self.lr_factor, self.wd_factor))
-        return groups
+        return _weight_bias_groups(self)
 
     def _out_dims(self, h, w):
         kh, kw = self.kernel
@@ -311,16 +312,13 @@ class BatchNorm2d(Layer):
     """Per-channel batch normalization: batch statistics while training,
     running statistics in eval mode."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 lr_factor: float = 1.0, wd_factor: float = 1.0,
-                 dtype=np.float32, name: str = "bn"):
-        if eps <= 0 or not (0.0 < momentum < 1.0):
-            raise ValueError("eps must be > 0 and momentum in (0, 1)")
+    eps = 1e-5
+
+    def __init__(self, channels: int, momentum: float = 0.1, dtype=np.float32, name: str = "bn"):
+        if not (0.0 < momentum < 1.0):
+            raise ValueError("momentum must be in (0, 1)")
         self.channels = int(channels)
-        self.eps = eps
         self.momentum = momentum
-        self.lr_factor = lr_factor
-        self.wd_factor = wd_factor
         self.name = name
         self.gamma = np.ones(self.channels, dtype=dtype)
         self.beta = np.zeros(self.channels, dtype=dtype)
@@ -332,8 +330,8 @@ class BatchNorm2d(Layer):
 
     def param_groups(self):
         return [
-            ParamGroup(f"{self.name}.gamma", self.gamma, self.gamma_grad, self.lr_factor, self.wd_factor),
-            ParamGroup(f"{self.name}.beta", self.beta, self.beta_grad, self.lr_factor, self.wd_factor),
+            ParamGroup(f"{self.name}.gamma", self.gamma, self.gamma_grad),
+            ParamGroup(f"{self.name}.beta", self.beta, self.beta_grad),
         ]
 
     def state_tensors(self):
@@ -401,40 +399,29 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, in_features, out_features, use_bias: bool = True,
-                 lr_factor: float = 1.0, wd_factor: float = 1.0,
+    def __init__(self, in_features, out_features,
                  rng: np.random.Generator | None = None, dtype=np.float32, name: str = "fc"):
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.lr_factor = lr_factor
-        self.wd_factor = wd_factor
         self.name = name
         if rng is None:
             self.weights = np.zeros((self.in_features, self.out_features), dtype=dtype)
         else:
             self.weights = glorot_uniform(rng, (self.in_features, self.out_features),
                                           self.in_features, self.out_features, dtype=dtype)
-        self.bias = np.zeros(self.out_features, dtype=dtype) if use_bias else None
+        self.bias = np.zeros(self.out_features, dtype=dtype)
         self.weights_grad = np.zeros_like(self.weights)
-        self.bias_grad = np.zeros_like(self.bias) if use_bias else None
+        self.bias_grad = np.zeros_like(self.bias)
         self._x = None
 
     def param_groups(self):
-        groups = [ParamGroup(f"{self.name}.weight", self.weights, self.weights_grad,
-                             self.lr_factor, self.wd_factor)]
-        if self.bias is not None:
-            groups.append(ParamGroup(f"{self.name}.bias", self.bias, self.bias_grad,
-                                     self.lr_factor, self.wd_factor))
-        return groups
+        return _weight_bias_groups(self)
 
     def forward(self, x, train: bool = True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"{self.name}: expected (batch, {self.in_features}), got {x.shape}")
         self._x = x if train else None
-        out = x @ self.weights
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weights + self.bias
 
     def backward(self, grad_out):
         if self._x is None:
@@ -442,8 +429,7 @@ class Dense(Layer):
         if grad_out.shape != (self._x.shape[0], self.out_features):
             raise ValueError(f"{self.name}: grad_out shape does not match forward")
         self.weights_grad += self._x.T @ grad_out
-        if self.bias is not None:
-            self.bias_grad += grad_out.sum(axis=0)
+        self.bias_grad += grad_out.sum(axis=0)
         return grad_out @ self.weights.T
 
 

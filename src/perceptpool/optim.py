@@ -1,9 +1,8 @@
 """SGD-with-momentum and Adam over parameter groups.
 
 Each group carries its own learning-rate and weight-decay multipliers so
-pooling perceptrons can train at a reduced rate (0.1x by default, 1e-3x
-for a global-average-pooling replacement) and with decay disabled, while
-the rest of the model uses the globals. Decay is coupled: it is added to
+pooling perceptrons can train at a reduced rate (0.1x by default) and with
+decay disabled, while the rest of the model uses the globals. Decay is coupled: it is added to
 the gradient before the momentum/moment updates.
 """
 
@@ -97,12 +96,11 @@ class Adam:
 
 
 def make_optimizer(kind: str, groups, lr: float, momentum: float = 0.9,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                   weight_decay: float = 0.0):
+                   beta1: float = 0.9, beta2: float = 0.999, weight_decay: float = 0.0):
     if kind == "sgd":
         return SGD(groups, lr=lr, momentum=momentum, weight_decay=weight_decay)
     if kind == "adam":
-        return Adam(groups, lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
+        return Adam(groups, lr=lr, beta1=beta1, beta2=beta2, weight_decay=weight_decay)
     raise ValueError(f"unknown optimizer {kind!r}")
 
 

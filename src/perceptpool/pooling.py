@@ -47,8 +47,7 @@ import math
 import numpy as np
 
 from . import initializers
-from .layers import Layer, col2im, im2col, pool_out_dim, _pair
-from .optim import ParamGroup
+from .layers import Layer, col2im, im2col, pool_out_dim, _pair, _weight_bias_groups
 
 
 class Sharing(enum.Enum):
@@ -56,15 +55,6 @@ class Sharing(enum.Enum):
     PER_CHANNEL = "per_channel"
     PER_FIELD = "per_field"
     PER_TENSOR = "per_tensor"
-
-    @classmethod
-    def parse(cls, value) -> "Sharing":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            raise ValueError(f"unknown sharing mode {value!r}") from None
 
 
 ACTIVATIONS = ("identity", "relu")
@@ -157,7 +147,7 @@ class PerceptronPool(Layer):
         self.window = _pair(window)
         self.stride = self.window[0] if stride is None else int(stride)
         self.units = int(units)
-        self.sharing = Sharing.parse(sharing)
+        self.sharing = Sharing(sharing)
         self.use_bias = bool(use_bias)
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
@@ -216,12 +206,7 @@ class PerceptronPool(Layer):
     def param_groups(self):
         if self.weights is None:
             return []
-        groups = [ParamGroup(f"{self.name}.weight", self.weights, self.weights_grad,
-                             self.lr_factor, self.wd_factor)]
-        if self.bias is not None:
-            groups.append(ParamGroup(f"{self.name}.bias", self.bias, self.bias_grad,
-                                     self.lr_factor, self.wd_factor))
-        return groups
+        return _weight_bias_groups(self, self.lr_factor, self.wd_factor)
 
     def _out_positions(self, height, width):
         wh, ww = self.window
@@ -305,12 +290,8 @@ class PerceptronUpsample(PerceptronPool):
     """
 
     def __init__(self, window=2, units: int = 4, sharing=Sharing.GLOBAL,
-                 use_bias: bool = True, activation: str = "identity",
-                 lr_factor: float = 0.1, wd_factor: float = 0.0,
-                 init: str = "average", rng: np.random.Generator | None = None,
-                 dtype=np.float32, name: str = "pup"):
-        super().__init__(window, 1, units, sharing, use_bias, activation,
-                         lr_factor, wd_factor, init, rng, dtype, name)
+                 activation: str = "identity", dtype=np.float32, name: str = "pup"):
+        super().__init__(window, 1, units, sharing, activation=activation, dtype=dtype, name=name)
         if self.block < 2:
             raise ValueError(f"upsampling needs units = u*u with u >= 2, got {units}")
         wh, ww = self.window

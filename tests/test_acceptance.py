@@ -72,9 +72,8 @@ def test_criterion_1_average_equivalence():
 def test_criterion_2_gradient_suite():
     start = time.perf_counter()
     specs = [
-        "conv2d", "dense", "batchnorm", "maxpool", "avgpool", "strided_conv",
-        "perceptron", "perceptron:sharing=per_channel", "perceptron:sharing=per_field",
-        "perceptron:sharing=per_tensor", "nn_4_1", "nn_16_1",
+        "conv2d", "dense", "batchnorm", "max", "average", "strided_conv",
+        "perceptron", "nn_z", "nn_field", "nn_tensor", "nn_4_1", "nn_16_1",
         "upsample:units=4", "upsample:units=16",
     ]
     for spec in specs:

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from perceptpool.cli import build_check_layer, main
+from perceptpool.config import POOLING_KINDS, TrainConfig
+from perceptpool.models import make_pooling_slot
 
 
 @pytest.fixture()
@@ -29,24 +32,47 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--layer", "upsample:units=16"]) == 0
 
     def test_average_pool_exact(self, capsys):
-        assert main(["gradcheck", "--layer", "avgpool", "--tolerance", "1e-8"]) == 0
+        assert main(["gradcheck", "--layer", "average", "--tolerance", "1e-8"]) == 0
 
     def test_unknown_layer(self):
         with pytest.raises(ValueError, match="unknown layer"):
             main(["gradcheck", "--layer", "wavelet"])
 
-    def test_stack_spec_passes_sharing(self, capsys):
-        stack, _ = build_check_layer("nn_16_1:sharing=per_field,activation=relu")
-        assert [layer.sharing.value for layer in stack.layers] == ["per_field", "per_field"]
+    def test_stack_spec_passes_activation(self, capsys):
+        stack, _ = build_check_layer("nn_16_1:activation=relu")
         assert [layer.activation for layer in stack.layers] == ["relu", "relu"]
-        assert main(["gradcheck", "--layer", "nn_16_1:sharing=per_field,activation=relu"]) == 0
+        assert main(["gradcheck", "--layer", "nn_16_1:activation=relu"]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_spec_options_change_construction(self):
-        layer, _ = build_check_layer("perceptron:sharing=per_field,units=4,activation=relu")
+        layer, _ = build_check_layer("nn_field:units=4,activation=relu")
         assert layer.units == 4
         assert layer.activation == "relu"
         assert layer.sharing.value == "per_field"
+
+    @pytest.mark.parametrize("spec, key", [
+        ("nn_16_1:units=4", "pooling.units"),
+        ("max:window=3", "pooling.window"),
+        ("perceptron:sharing=per_field", "pooling.sharing"),
+        ("perceptron:bogus=1", "pooling.bogus"),
+        ("conv2d:pad=2", "pad"),
+        ("upsample:stride=2", "stride"),
+    ])
+    def test_unread_option_rejected(self, spec, key):
+        with pytest.raises(ValueError, match=key):
+            build_check_layer(spec)
+
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_pooling_spec_builds_the_config_slot(self, kind):
+        def describe(layer):
+            inner = getattr(layer, "layers", [layer])
+            return [(type(p).__name__, getattr(p, "sharing", None), getattr(p, "units", None))
+                    for p in inner]
+
+        layer, _ = build_check_layer(kind)
+        slot = make_pooling_slot(TrainConfig(pooling_kind=kind), "pool", 3, dtype=np.float64)
+        built = [d for sl in slot for d in describe(sl)]
+        assert describe(layer) == built
 
 
 class TestAuditCommand:
