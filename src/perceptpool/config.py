@@ -12,9 +12,11 @@ Example::
     epochs = 15
     seed = 1
 
-Unknown keys are rejected. `TrainConfig.to_text` emits every field (defaults
-included) in a stable order, which is what gets echoed into metrics files
-and checkpoints for provenance.
+Unknown keys are rejected, and so is a second key for a field already set
+(`pooling = max` and `pooling.kind = perceptron` set the same field).
+`TrainConfig.to_text` emits every field (defaults included) in a stable
+order, which is what gets echoed into metrics files and checkpoints for
+provenance.
 
 `POOLING_KINDS` is the one table of pooling kinds: what each builds (see
 models.make_pooling_slot) and so which `pooling.*` keys it reads. A key the
@@ -181,7 +183,7 @@ def _coerce(name: str, raw: str):
 
 
 def parse_config(text: str) -> TrainConfig:
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -197,7 +199,10 @@ def parse_config(text: str) -> TrainConfig:
         if key not in _KEYMAP:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         name = _KEYMAP[key]
-        values[name] = _coerce(name, raw)
+        if name in values:
+            raise ValueError(f"lines {first_line[name]} and {lineno} both set "
+                             f"{name.replace('_', '.', 1)}")
+        values[name], first_line[name] = _coerce(name, raw), lineno
     return TrainConfig(**values)
 
 

@@ -5,11 +5,12 @@ pooling and softmax cross-entropy: everything needed to rebuild the small
 reference classifiers and the strided-convolution pooling baseline.
 
 Conventions shared by all layers:
-  - forward(x, train=True) stores whatever backward needs; every layer
-    stores nothing for train=False, so a backward after an evaluation
-    forward raises;
-  - backward(grad_out) returns the input gradient and ACCUMULATES parameter
+  - each layer writes only _forward(x, train) -> (output, saved) and
+    _backward(grad_out, saved) -> input gradient, which ACCUMULATES parameter
     gradients into the layer's grad buffers (call zero_grad between steps);
+  - Layer.forward drops the last saved state, then keeps (saved, output
+    shape) for a training forward only; Layer.backward raises RuntimeError
+    without it and ValueError for a grad_out of another shape;
   - pooling never pads and requires the window to tile the input exactly;
     convolution supports symmetric zero padding;
   - every windowed layer (Conv2d, FixedPool and the perceptron layers of
@@ -99,11 +100,26 @@ def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
 
 class Layer:
     name: str = ""
+    _saved = None  # (saved, output shape) of the last training forward
 
     def forward(self, x, train: bool = True):
-        raise NotImplementedError
+        self._saved = None
+        out, saved = self._forward(x, train)
+        if train:
+            self._saved = (saved, out.shape)
+        return out
 
     def backward(self, grad_out):
+        if self._saved is None:
+            raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
+        saved, shape = self._saved
+        if grad_out.shape != shape:
+            raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match "
+                             f"forward output {shape}")
+        return self._backward(grad_out, saved)
+
+    def _forward(self, x, train):
+        """(output, saved): what _backward(grad_out, saved) needs, kept when training."""
         raise NotImplementedError
 
     def param_groups(self) -> list[ParamGroup]:
@@ -157,7 +173,6 @@ class Conv2d(Layer):
         self.bias = np.zeros(self.out_channels, dtype=dtype) if use_bias else None
         self.weights_grad = np.zeros_like(self.weights)
         self.bias_grad = np.zeros_like(self.bias) if use_bias else None
-        self._saved = None
 
     def param_groups(self):
         return _weight_bias_groups(self)
@@ -174,7 +189,7 @@ class Conv2d(Layer):
         # (O, kh*kw*C), matching the (kh, kw, C) row order of the columns
         return self.weights.transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
 
-    def forward(self, x, train: bool = True):
+    def _forward(self, x, train):
         b, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
@@ -196,17 +211,12 @@ class Conv2d(Layer):
             if self.bias is not None:
                 ob += self.bias[:, None]
             out[blk] = ob.reshape(-1, nb, oh, ow).transpose(1, 0, 2, 3)
-        self._saved = (cols, x.shape) if train else None
-        return out
+        return out, (cols, x.shape)
 
-    def backward(self, grad_out):
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward without a stored forward")
-        cols, (b, c, h, w) = self._saved
+    def _backward(self, grad_out, saved):
+        cols, (b, c, h, w) = saved
         kh, kw, _, _, oh, ow = cols.shape
         o, p = self.out_channels, self.pad
-        if grad_out.shape != (b, o, oh, ow):
-            raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match forward")
         go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, b, oh * ow)
         gw = (go.reshape(o, -1) @ cols.reshape(-1, b * oh * ow).T).reshape(o, kh, kw, c)
         self.weights_grad += gw.transpose(0, 3, 1, 2)
@@ -234,9 +244,8 @@ class FixedPool(Layer):
         self.window = _pair(window)
         self.stride = int(stride) if stride is not None else self.window[0]
         self.name = name
-        self._saved = None
 
-    def forward(self, x, train: bool = True):
+    def _forward(self, x, train):
         b, c, h, w = x.shape
         wh, ww = self.window
         # pool_out_dim raises unless the window tiles exactly.
@@ -252,15 +261,10 @@ class FixedPool(Layer):
             cb = im2col(x[blk], wh, ww, self.stride,
                         out=cols[:, :, blk if keep else slice(blk.stop - blk.start)])
             reduce(cb, axis=(0, 1), out=out[blk])
-        self._saved = (x.shape, cols if keep else None, out.shape) if train else None
-        return out
+        return out, (x.shape, cols if keep else None)
 
-    def backward(self, grad_out):
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward without a stored forward")
-        in_shape, cols, out_shape = self._saved
-        if grad_out.shape != out_shape:
-            raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match forward")
+    def _backward(self, grad_out, saved):
+        in_shape, cols = saved
         wh, ww = self.window
         gx = np.empty(in_shape, dtype=grad_out.dtype)
         for blk in _blocks(len(gx), wh * ww * grad_out.nbytes, _BLOCK_BYTES):
@@ -276,9 +280,9 @@ class FixedPool(Layer):
         return gx
 
     def kink_margin(self):
-        if self._saved is None or self._saved[1] is None:
+        cols = None if self._saved is None else self._saved[0][1]
+        if cols is None:
             return None
-        cols = self._saved[1]
         flat = cols.reshape(-1, *cols.shape[2:])
         if len(flat) < 2:
             return None
@@ -289,23 +293,17 @@ class FixedPool(Layer):
 class ReLU(Layer):
     def __init__(self, name: str = "relu"):
         self.name = name
-        self._x = None
 
-    def forward(self, x, train: bool = True):
-        self._x = x if train else None
-        return np.maximum(x, 0)
+    def _forward(self, x, train):
+        return np.maximum(x, 0), x
 
-    def backward(self, grad_out):
-        if self._x is None:
-            raise RuntimeError(f"{self.name}: backward without a stored forward")
-        if grad_out.shape != self._x.shape:
-            raise ValueError(f"{self.name}: grad_out shape does not match forward")
-        return grad_out * (self._x > 0)
+    def _backward(self, grad_out, x):
+        return grad_out * (x > 0)
 
     def kink_margin(self):
-        if self._x is None or self._x.size == 0:
+        if self._saved is None or self._saved[0].size == 0:
             return None
-        return float(np.min(np.abs(self._x)))
+        return float(np.min(np.abs(self._saved[0])))
 
 
 class BatchNorm2d(Layer):
@@ -326,7 +324,6 @@ class BatchNorm2d(Layer):
         self.beta_grad = np.zeros_like(self.beta)
         self.running_mean = np.zeros(self.channels, dtype=dtype)
         self.running_var = np.ones(self.channels, dtype=dtype)
-        self._saved = None
 
     def param_groups(self):
         return [
@@ -340,7 +337,7 @@ class BatchNorm2d(Layer):
             (f"{self.name}.running_var", self.running_var),
         ]
 
-    def forward(self, x, train: bool = True):
+    def _forward(self, x, train):
         if x.shape[1] != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {x.shape[1]}")
         # Per-channel vectors broadcast as (C, 1, 1). Each direction allocates at
@@ -354,21 +351,17 @@ class BatchNorm2d(Layer):
             self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat *= inv_std[:, None, None]
-            self._saved = (xhat, inv_std)
+            saved = (xhat, inv_std)
             out = xhat * self.gamma[:, None, None]
         else:
-            self._saved = None
+            saved = None
             out = x - self.running_mean[:, None, None]
             out *= (self.gamma / np.sqrt(self.running_var + self.eps))[:, None, None]
         out += self.beta[:, None, None]
-        return out
+        return out, saved
 
-    def backward(self, grad_out):
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
-        xhat, inv_std = self._saved
-        if grad_out.shape != xhat.shape:
-            raise ValueError(f"{self.name}: grad_out shape does not match forward")
+    def _backward(self, grad_out, saved):
+        xhat, inv_std = saved
         n = grad_out.size // self.channels
         gg = (grad_out * xhat).sum(axis=(0, 2, 3))
         bg = grad_out.sum(axis=(0, 2, 3))
@@ -386,16 +379,12 @@ class BatchNorm2d(Layer):
 class Flatten(Layer):
     def __init__(self, name: str = "flatten"):
         self.name = name
-        self._in_shape = None
 
-    def forward(self, x, train: bool = True):
-        self._in_shape = x.shape if train else None
-        return x.reshape(x.shape[0], -1)
+    def _forward(self, x, train):
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, grad_out):
-        if self._in_shape is None:
-            raise RuntimeError(f"{self.name}: backward without a stored forward")
-        return grad_out.reshape(self._in_shape)
+    def _backward(self, grad_out, in_shape):
+        return grad_out.reshape(in_shape)
 
 
 class Dense(Layer):
@@ -412,23 +401,17 @@ class Dense(Layer):
         self.bias = np.zeros(self.out_features, dtype=dtype)
         self.weights_grad = np.zeros_like(self.weights)
         self.bias_grad = np.zeros_like(self.bias)
-        self._x = None
 
     def param_groups(self):
         return _weight_bias_groups(self)
 
-    def forward(self, x, train: bool = True):
+    def _forward(self, x, train):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"{self.name}: expected (batch, {self.in_features}), got {x.shape}")
-        self._x = x if train else None
-        return x @ self.weights + self.bias
+        return x @ self.weights + self.bias, x
 
-    def backward(self, grad_out):
-        if self._x is None:
-            raise RuntimeError(f"{self.name}: backward without a stored forward")
-        if grad_out.shape != (self._x.shape[0], self.out_features):
-            raise ValueError(f"{self.name}: grad_out shape does not match forward")
-        self.weights_grad += self._x.T @ grad_out
+    def _backward(self, grad_out, x):
+        self.weights_grad += x.T @ grad_out
         self.bias_grad += grad_out.sum(axis=0)
         return grad_out @ self.weights.T
 

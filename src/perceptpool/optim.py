@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamGroup:
-    """A view onto one layer parameter array and its gradient buffer."""
+    """A view onto one layer parameter array and its gradient buffer. Frozen,
+    so the arrays whose shapes __post_init__ checked cannot be swapped."""
 
     name: str
     param: np.ndarray
@@ -32,11 +33,6 @@ class ParamGroup:
             raise ValueError(f"group {self.name}: factors must be >= 0")
 
 
-def _check_shapes(group: ParamGroup) -> None:
-    if group.grad.shape != group.param.shape:
-        raise ValueError(f"group {group.name}: shape mismatch")
-
-
 class SGD:
     """v <- momentum*v + grad + wd_factor*weight_decay*param;
     param <- param - lr*lr_factor*v."""
@@ -51,13 +47,12 @@ class SGD:
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         for g, v in zip(self.groups, self._velocity):
-            _check_shapes(g)
             gr = g.grad
             if self.weight_decay != 0.0 and g.wd_factor != 0.0:
                 gr = gr + (g.wd_factor * self.weight_decay) * g.param
             v *= self.momentum
             v += gr
-            g.param -= (lr * g.lr_factor) * v
+            np.subtract(g.param, (lr * g.lr_factor) * v, out=g.param)
 
 
 class Adam:
@@ -74,25 +69,24 @@ class Adam:
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(g.param) for g in self.groups]
         self._v = [np.zeros_like(g.param) for g in self.groups]
-        self._t = [0] * len(self.groups)
+        self._t = 0  # steps taken; every group steps together
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
+        self._t += 1
         for i, g in enumerate(self.groups):
-            _check_shapes(g)
             gr = g.grad
             if self.weight_decay != 0.0 and g.wd_factor != 0.0:
                 gr = gr + (g.wd_factor * self.weight_decay) * g.param
-            self._t[i] += 1
-            t = self._t[i]
             m, v = self._m[i], self._v[i]
             m *= self.beta1
             m += (1.0 - self.beta1) * gr
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(gr)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            g.param -= (lr * g.lr_factor) * m_hat / (np.sqrt(v_hat) + self.eps)
+            m_hat = m / (1.0 - self.beta1**self._t)
+            v_hat = v / (1.0 - self.beta2**self._t)
+            np.subtract(g.param, (lr * g.lr_factor) * m_hat / (np.sqrt(v_hat) + self.eps),
+                        out=g.param)
 
 
 def make_optimizer(kind: str, groups, lr: float, momentum: float = 0.9,

@@ -36,7 +36,8 @@ All three run one chain engine (_chain_forward/_chain_backward): the first
 layer's windows are copied out once by layers.im2col, each layer is one
 einsum per direction on unit outputs (the sharing mode only changes the
 weight subscripts), and depth-to-space restructures the last layer's units;
-the input gradient goes back through layers.col2im.
+the input gradient goes back through layers.col2im. The unit layers keep no
+state: each layer's (columns, pre-activation) is the slot's saved state.
 """
 
 from __future__ import annotations
@@ -100,30 +101,27 @@ _WEIGHT_SUBSCRIPTS = {
 
 
 def _chain_forward(layers, x, train):
-    """Output of perceptron layers chained on unit outputs: im2col for the
-    first layer, one unit layer each, depth-to-space of the last one's units."""
+    """Output of perceptron layers chained on unit outputs (im2col for the
+    first layer, one unit layer each, depth-to-space of the last one's
+    units), and, when training, each layer's (columns, pre-activation)."""
     first = layers[0]
     units = im2col(x, *first.window, first.stride)
     units = units.reshape(-1, *units.shape[2:])
+    saved = []
     for layer in layers:
-        units = layer._units_forward(units, train)
-    return restructure(np.moveaxis(units, 0, 2), layers[-1].block)
+        out, pre = layer._units_forward(units)
+        if train:
+            saved.append((units, pre))
+        units = out
+    return restructure(np.moveaxis(units, 0, 2), layers[-1].block), saved
 
 
-def _chain_backward(layers, grad_out):
+def _chain_backward(layers, grad_out, saved):
     """Adjoint of _chain_forward: accumulate every layer's parameter
     gradients and return the gradient of the chain's input."""
-    last = layers[-1]
-    if last._saved is None:
-        raise RuntimeError(f"{last.name}: backward requires a training-mode forward")
-    _, b, c, oh, ow = last._saved[0].shape
-    expected = (b, c, oh * last.block, ow * last.block)
-    if grad_out.shape != expected:
-        raise ValueError(f"{last.name}: grad_out shape {grad_out.shape} does not match "
-                         f"forward output {expected}")
-    grad = np.moveaxis(unrestructure(grad_out, last.block), 2, 0)
-    for layer in reversed(layers):
-        grad = layer._units_backward(grad)
+    grad = np.moveaxis(unrestructure(grad_out, layers[-1].block), 2, 0)
+    for layer, (cols, pre) in zip(reversed(layers), reversed(saved)):
+        grad = layer._units_backward(grad, cols, pre)
     (wh, ww), s = layers[0].window, layers[0].stride
     _, b, c, oh, ow = grad.shape
     return col2im(grad.reshape(wh, ww, b, c, oh, ow),
@@ -170,7 +168,6 @@ class PerceptronPool(Layer):
         self.weights_grad = None
         self.bias_grad = None
         self._bound_key = None  # frozen (C, oH, oW) slice relevant to the mode
-        self._saved = None
 
     # -- instantiation -----------------------------------------------------
 
@@ -220,12 +217,17 @@ class PerceptronPool(Layer):
         oh, ow = self._out_positions(h, w)
         return (b, c, oh * self.block, ow * self.block)
 
-    def forward(self, x, train: bool = True):
+    def _forward(self, x, train):
         self.bind(*x.shape[1:])
         return _chain_forward([self], x, train)
 
-    def backward(self, grad_out):
-        return _chain_backward([self], grad_out)
+    def _backward(self, grad_out, saved):
+        return _chain_backward([self], grad_out, saved)
+
+    def kink_margin(self):
+        """Smallest |pre-activation| of the chain's ReLU units in the last training forward."""
+        pres = [] if self._saved is None else [p for _, p in self._saved[0] if p is not None]
+        return min(float(np.min(np.abs(p))) for p in pres) if pres else None
 
     # -- one einsum per direction on unit outputs ----------------------------
 
@@ -246,24 +248,22 @@ class PerceptronPool(Layer):
         bias = np.einsum(f"{sub}->{order}", self.bias.reshape(*self._bound_key, self.units))
         return np.expand_dims(bias, [p for p, label in enumerate("kbcij") if label not in sub])
 
-    def _units_forward(self, cols, train):
-        """Unit outputs (units, B, C, oH, oW) from columns (wh*ww, B, C, oH, oW)."""
+    def _units_forward(self, cols):
+        """Unit outputs (units, B, C, oH, oW) from columns (wh*ww, B, C, oH, oW),
+        and the pre-activation a ReLU backward needs (None for identity)."""
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
         weights = self.weights.reshape(*self._bound_key, self.units, -1)
         pre = np.einsum(f"rbcij,{sub}->kbcij", cols, weights, optimize=self._matmul)
         if self.bias is not None:
             pre += self._bias_view()
-        relu = self.activation == "relu"
-        self._saved = (cols, pre if relu else None) if train else None
-        return np.maximum(pre, 0) if relu else pre
+        if self.activation == "relu":
+            return np.maximum(pre, 0), pre
+        return pre, None
 
-    def _units_backward(self, grad_units):
+    def _units_backward(self, grad_units, cols, pre):
         """Accumulate parameter gradients from the unit-output gradient
         (units, B, C, oH, oW), which is overwritten; return the column
         gradient (wh*ww, B, C, oH, oW)."""
-        if self._saved is None:
-            raise RuntimeError(f"{self.name}: backward requires a training-mode forward")
-        cols, pre = self._saved
         if pre is not None:
             grad_units *= pre > 0
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
@@ -274,11 +274,6 @@ class PerceptronPool(Layer):
             self.bias_grad += np.einsum(f"kbcij->{sub[:-1]}", grad_units).reshape(self.bias.shape)
         # Units first: einsum's matmul route then writes the columns contiguously.
         return np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self._matmul)
-
-    def kink_margin(self):
-        if self._saved is None or self._saved[1] is None:
-            return None
-        return float(np.min(np.abs(self._saved[1])))
 
 
 class PerceptronUpsample(PerceptronPool):
@@ -300,12 +295,12 @@ class PerceptronUpsample(PerceptronPool):
     def _out_positions(self, height, width):
         return height, width
 
-    def forward(self, x, train: bool = True):
+    def _forward(self, x, train):
         self.bind(*x.shape[1:])
         return _chain_forward([self], np.pad(x, ((0, 0), (0, 0), *self._pads)), train)
 
-    def backward(self, grad_out):
-        gxp = _chain_backward([self], grad_out)
+    def _backward(self, grad_out, saved):
+        gxp = _chain_backward([self], grad_out, saved)
         (pt, pb), (pl, pr) = self._pads
         return gxp[:, :, pt : gxp.shape[2] - pb, pl : gxp.shape[3] - pr]
 
@@ -348,19 +343,17 @@ class MlpPoolStack(Layer):
             shape = layer.output_shape(shape)
         return shape
 
-    def forward(self, x, train: bool = True):
+    def _forward(self, x, train):
         self.bind(*x.shape[1:])
         return _chain_forward(self.layers, x, train)
 
-    def backward(self, grad_out):
-        return _chain_backward(self.layers, grad_out)
+    def _backward(self, grad_out, saved):
+        return _chain_backward(self.layers, grad_out, saved)
 
     def param_groups(self):
         return [g for layer in self.layers for g in layer.param_groups()]
 
-    def kink_margin(self):
-        margins = [m for layer in self.layers if (m := layer.kink_margin()) is not None]
-        return min(margins) if margins else None
+    kink_margin = PerceptronPool.kink_margin
 
 
 def param_count(obj) -> int:

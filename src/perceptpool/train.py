@@ -222,8 +222,8 @@ def _read_checkpoint(f) -> tuple[Sequential, TrainConfig]:
             stored = read_tensor(f, dtype=np.float32)
         except ValueError as e:
             raise ValueError(f"{name}: {e}") from None
-        if stored.size != arr.size:
-            raise ValueError(f"size mismatch for {name}")
+        if stored.shape != _as_rank4(arr).shape:
+            raise ValueError(f"{name}: stored shape {stored.shape}, model has {_as_rank4(arr).shape}")
         arr[...] = stored.reshape(arr.shape).astype(arr.dtype)
     return model, cfg
 

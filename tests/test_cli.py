@@ -55,6 +55,7 @@ class TestGradcheckCommand:
         ("max:window=3", "pooling.window"),
         ("perceptron:sharing=per_field", "pooling.sharing"),
         ("perceptron:bogus=1", "pooling.bogus"),
+        ("perceptron:kind=max", "pooling.kind"),
         ("conv2d:pad=2", "pad"),
         ("upsample:stride=2", "stride"),
     ])

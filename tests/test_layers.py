@@ -8,6 +8,7 @@ from perceptpool import layers
 from perceptpool.gradcheck import check_layer
 from perceptpool.layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, ReLU,
                                 col2im, im2col, pool_out_dim, softmax_xent)
+from perceptpool.pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample
 
 from oracles import batchnorm_reference, conv2d_loops, conv2d_reference, pool_reference
 
@@ -347,20 +348,58 @@ class TestDense:
         assert report.passed, report.format()
 
 
-@pytest.mark.parametrize("make, shape", [
-    (lambda: FixedPool("max", 2, 2), (1, 1, 4, 4)),
-    (lambda: FixedPool("average", 2, 2), (1, 1, 4, 4)),
-    (ReLU, (1, 2, 3, 3)),
-    (lambda: BatchNorm2d(2, dtype=np.float64), (2, 2, 3, 3)),
-    (lambda: Dense(4, 3, dtype=np.float64), (2, 4)),
-    (Flatten, (2, 2, 3, 3)),
-], ids=["max", "average", "relu", "batchnorm", "dense", "flatten"])
+# One small float64 instance of every layer kind, with an input shape whose
+# output shape is not its own reverse.
+EVERY_LAYER_KIND = {
+    "max": (lambda: FixedPool("max", 2, 2), (1, 1, 4, 4)),
+    "average": (lambda: FixedPool("average", 2, 2), (1, 1, 4, 4)),
+    "relu": (ReLU, (1, 2, 3, 3)),
+    "batchnorm": (lambda: BatchNorm2d(2, dtype=np.float64), (2, 2, 3, 3)),
+    "dense": (lambda: Dense(4, 3, dtype=np.float64), (2, 4)),
+    "flatten": (Flatten, (2, 2, 3, 3)),
+    "conv2d": (lambda: Conv2d(2, 3, kernel=3, pad=1, dtype=np.float64), (2, 2, 5, 5)),
+    "perceptron": (lambda: PerceptronPool(2, 2, dtype=np.float64), (1, 1, 4, 4)),
+    "upsample": (lambda: PerceptronUpsample(2, units=4, dtype=np.float64), (1, 1, 4, 4)),
+    "stack": (lambda: MlpPoolStack([PerceptronPool(2, 2, units=4, dtype=np.float64),
+                                    PerceptronPool(2, 2, units=1, dtype=np.float64)]),
+              (1, 1, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("make, shape", EVERY_LAYER_KIND.values(), ids=EVERY_LAYER_KIND.keys())
 def test_eval_forward_keeps_no_backward_state(make, shape):
     layer = make()
     x = np.random.default_rng(4).normal(size=shape)
     layer.forward(x, train=True)
     out = layer.forward(x, train=False)
     with pytest.raises(RuntimeError):
+        layer.backward(np.zeros_like(out))
+
+
+@pytest.mark.parametrize("make, shape", EVERY_LAYER_KIND.values(), ids=EVERY_LAYER_KIND.keys())
+def test_grad_out_of_right_size_but_wrong_shape_rejected(make, shape):
+    layer = make()
+    out = layer.forward(np.random.default_rng(5).normal(size=shape), train=True)
+    assert out.shape[::-1] != out.shape
+    with pytest.raises(ValueError, match="grad_out shape"):
+        layer.backward(np.zeros(out.shape[::-1]))
+
+
+@pytest.mark.parametrize("make, good, bad", [
+    (lambda: Conv2d(2, 3, kernel=3, pad=1, dtype=np.float64), (2, 2, 5, 5), (2, 3, 5, 5)),
+    (lambda: FixedPool("max", 2, 2), (1, 1, 4, 4), (1, 1, 5, 5)),
+    (lambda: BatchNorm2d(2, dtype=np.float64), (2, 2, 3, 3), (2, 3, 3, 3)),
+    (lambda: Dense(4, 3, dtype=np.float64), (2, 4), (2, 5)),
+    (lambda: PerceptronPool(2, 2, dtype=np.float64), (1, 1, 4, 4), (1, 1, 5, 5)),
+], ids=["conv2d", "max", "batchnorm", "dense", "perceptron"])
+def test_backward_after_a_forward_that_raised_is_rejected(make, good, bad):
+    """A forward that raises leaves nothing for backward, not the state of
+    the training forward before it."""
+    layer = make()
+    out = layer.forward(np.ones(good), train=True)
+    with pytest.raises(ValueError):
+        layer.forward(np.ones(bad), train=True)
+    with pytest.raises(RuntimeError, match="training-mode forward"):
         layer.backward(np.zeros_like(out))
 
 

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,15 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("nonsense = 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("epochs = 3\nseed = 2\nepochs = 5\n", "lines 1 and 3 both set epochs"),
+        ("pooling = max\npooling.kind = perceptron\n", "lines 1 and 2 both set pooling.kind"),
+        ("lr = 0.1\n# same value\noptimizer.lr = 0.1\n", "lines 1 and 3 both set optimizer.lr"),
+    ], ids=["same-spelling", "short-then-dotted", "same-value"])
+    def test_key_given_twice_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
@@ -212,6 +223,30 @@ class TestBuildModel:
         for layer, shape in zip(model.layers, out_shapes):
             with pytest.raises(RuntimeError):
                 layer.backward(np.zeros(shape, dtype=np.float32))
+
+    def test_second_training_step_peaks_no_higher_than_the_first(self):
+        """Every layer drops its saved arrays before its next forward, so a
+        step never holds the previous step's on top of its own. The slack
+        covers numpy's few small Python objects per step (under 1 kB)."""
+        cfg = TrainConfig(model="tiny_synth", pooling_kind="nn_16_1")
+        model = build_model(cfg)
+        optimizer = make_optimizer("adam", model.param_groups(), lr=1e-3)
+        x = np.random.default_rng(9).normal(size=(32, 1, 16, 16)).astype(np.float32)
+        labels = np.arange(32) % 2
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                _, grad = softmax_xent(model.forward(x, train=True), labels)
+                model.zero_grad()
+                model.backward(grad)
+                optimizer.step()
+                del grad
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0], peaks
 
     def test_no_conv_bias_in_front_of_batchnorm(self):
         def conv_biases(model):

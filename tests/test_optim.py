@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,11 @@ class TestParamGroup:
     def test_negative_factors_rejected(self):
         with pytest.raises(ValueError):
             ParamGroup("w", np.zeros(2), np.zeros(2), lr_factor=-0.1)
+
+    def test_checked_arrays_cannot_be_swapped(self):
+        group = ParamGroup("w", np.zeros(2), np.zeros(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group.grad = np.zeros(3)
 
 
 class TestSGD:

@@ -162,6 +162,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: ")):
             load_checkpoint(bad)
 
+    def test_permuted_tensor_dims_name_the_file_and_tensor(self, tmp_path):
+        # same size, other shape: conv1.weight (8, 1, 3, 3) stored as (1, 8, 3, 3)
+        cfg = tiny_config()
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(path, build_model(cfg), cfg)
+        raw = path.read_bytes()
+        at = 8 + 4 + 8 + len(cfg.to_text().encode()) + 8
+        assert struct.unpack("<4Q", raw[at:at + 32]) == (8, 1, 3, 3)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:at] + struct.pack("<4Q", 1, 8, 3, 3) + raw[at + 32:])
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: conv1.weight")):
+            load_checkpoint(bad)
+
     def test_older_echo_with_retired_keys_loads(self, tmp_path):
         # older checkpoints echo pooling.sharing, upsample.kind and upsample.units
         result = train(tiny_config(), tmp_path / "run")
