@@ -111,15 +111,18 @@ class TrainConfig:
                                  f"pooling.kind = {self.pooling_kind}; remove it")
         units = self.pooling_units
         for key, ok, rule in (
-                ("window", self.pooling_window >= 1, ">= 1"),
-                ("stride", self.pooling_stride >= 1, ">= 1"),
-                ("units", units >= 1 and math.isqrt(units) ** 2 == units, "a perfect square"),
-                ("lr_factor", self.pooling_lr_factor >= 0, ">= 0"),
-                ("wd_factor", self.pooling_wd_factor >= 0, ">= 0"),
-                ("activation", self.pooling_activation in ACTIVATIONS, f"one of {ACTIVATIONS}"),
-                ("init", self.pooling_init in INITS, f"one of {INITS}")):
+                ("pooling.window", self.pooling_window >= 1, ">= 1"),
+                ("pooling.stride", self.pooling_stride >= 1, ">= 1"),
+                ("pooling.units", units >= 1 and math.isqrt(units) ** 2 == units, "a perfect square"),
+                ("pooling.lr_factor", self.pooling_lr_factor >= 0, ">= 0"),
+                ("pooling.wd_factor", self.pooling_wd_factor >= 0, ">= 0"),
+                ("pooling.activation", self.pooling_activation in ACTIVATIONS, f"one of {ACTIVATIONS}"),
+                ("pooling.init", self.pooling_init in INITS, f"one of {INITS}"),
+                # Adam divides by 1 - beta**t.
+                ("optimizer.beta1", 0 <= self.optimizer_beta1 < 1, "in [0, 1)"),
+                ("optimizer.beta2", 0 <= self.optimizer_beta2 < 1, "in [0, 1)")):
             if not ok:
-                raise ValueError(f"pooling.{key} must be {rule}, got {getattr(self, 'pooling_' + key)!r}")
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key.replace('.', '_'))!r}")
         if self.optimizer_kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer_kind!r}")
         if self.data_kind not in DATA_KINDS:
@@ -176,7 +179,7 @@ def _coerce(name: str, raw: str):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+        raise ValueError(f"expected a boolean, got {raw!r}")
     if "tuple" in str(f.type):
         return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
     return raw
@@ -202,7 +205,10 @@ def parse_config(text: str) -> TrainConfig:
         if name in values:
             raise ValueError(f"lines {first_line[name]} and {lineno} both set "
                              f"{name.replace('_', '.', 1)}")
-        values[name], first_line[name] = _coerce(name, raw), lineno
+        try:
+            values[name], first_line[name] = _coerce(name, raw), lineno
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {key}: {e}") from None
     return TrainConfig(**values)
 
 

@@ -36,8 +36,10 @@ All three run one chain engine (_chain_forward/_chain_backward): the first
 layer's windows are copied out once by layers.im2col, each layer is one
 einsum per direction on unit outputs (the sharing mode only changes the
 weight subscripts), and depth-to-space restructures the last layer's units;
-the input gradient goes back through layers.col2im. The unit layers keep no
-state: each layer's (columns, pre-activation) is the slot's saved state.
+the input gradient goes back through layers.col2im. A layer contracts
+through BLAS only when it has several units; its bias view is built at
+bind. The unit layers keep no state: each layer's (columns,
+pre-activation) is the slot's saved state.
 """
 
 from __future__ import annotations
@@ -168,6 +170,7 @@ class PerceptronPool(Layer):
         self.weights_grad = None
         self.bias_grad = None
         self._bound_key = None  # frozen (C, oH, oW) slice relevant to the mode
+        self._unit_bias = None  # view of bias, broadcastable against (units, B, C, oH, oW)
 
     # -- instantiation -----------------------------------------------------
 
@@ -183,7 +186,8 @@ class PerceptronPool(Layer):
         """Allocate and initialize per-instance weights for an input shape."""
         oh, ow = self._out_positions(height, width)
         dims = {"c": channels, "i": oh, "j": ow}
-        key = tuple(dims[label] for label in _WEIGHT_SUBSCRIPTS[self.sharing][:-2])
+        sub = _WEIGHT_SUBSCRIPTS[self.sharing]
+        key = tuple(dims[label] for label in sub[:-2])
         if self.weights is not None:
             if key != self._bound_key:
                 raise ValueError(
@@ -198,6 +202,10 @@ class PerceptronPool(Layer):
         self.weights_grad = np.zeros_like(self.weights)
         self.bias_grad = np.zeros_like(self.bias) if self.use_bias else None
         self._bound_key = key
+        if self.use_bias:
+            # A view, so the optimizer's and load_checkpoint's in-place writes reach it.
+            bias = np.moveaxis(self.bias.reshape(*key, self.units), -1, 0)
+            self._unit_bias = np.expand_dims(bias, [p for p, s in enumerate("kbcij") if s not in sub])
         initializers.apply_pool_init(self, self.init, self._rng)
 
     def param_groups(self):
@@ -230,32 +238,21 @@ class PerceptronPool(Layer):
         return min(float(np.min(np.abs(p))) for p in pres) if pres else None
 
     # -- one einsum per direction on unit outputs ----------------------------
-
-    @property
-    def _matmul(self) -> bool:
-        # einsum's optimize=True hands a two-operand contraction to (batched)
-        # matmul: one large GEMM under GLOBAL sharing, real matrix products
-        # with several units. One unit under channel- or position-bound
-        # weights would turn it into millions of wh*ww-long dot products,
-        # about 5x slower than einsum's own loop (PER_TENSOR on 50x64x32x32
-        # float32, 2-core machine, OpenBLAS).
-        return self.sharing is Sharing.GLOBAL or self.units > 1
-
-    def _bias_view(self):
-        """The bias, broadcastable against unit outputs (units, B, C, oH, oW)."""
-        sub = _WEIGHT_SUBSCRIPTS[self.sharing][:-1]
-        order = "".join(label for label in "kcij" if label in sub)
-        bias = np.einsum(f"{sub}->{order}", self.bias.reshape(*self._bound_key, self.units))
-        return np.expand_dims(bias, [p for p, label in enumerate("kbcij") if label not in sub])
+    # optimize=True hands a contraction to BLAS matmul, which pays off for
+    # several units. A single unit is a weighted sum of the wh*ww column
+    # planes, which einsum's own loop does in one pass: a 2x2 forward on
+    # 50x64x32x32 float32 took 1.5 against 7 ms through BLAS under GLOBAL
+    # sharing and 7 against 19 ms under PER_TENSOR (2 cores, OpenBLAS). At
+    # 4x4 (nn_16_1's last layer) BLAS is up to 1.3x faster, ~2% of a step.
 
     def _units_forward(self, cols):
         """Unit outputs (units, B, C, oH, oW) from columns (wh*ww, B, C, oH, oW),
         and the pre-activation a ReLU backward needs (None for identity)."""
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
         weights = self.weights.reshape(*self._bound_key, self.units, -1)
-        pre = np.einsum(f"rbcij,{sub}->kbcij", cols, weights, optimize=self._matmul)
+        pre = np.einsum(f"rbcij,{sub}->kbcij", cols, weights, optimize=self.units > 1)
         if self.bias is not None:
-            pre += self._bias_view()
+            pre += self._unit_bias
         if self.activation == "relu":
             return np.maximum(pre, 0), pre
         return pre, None
@@ -268,12 +265,12 @@ class PerceptronPool(Layer):
             grad_units *= pre > 0
         sub = _WEIGHT_SUBSCRIPTS[self.sharing]
         weights = self.weights.reshape(*self._bound_key, self.units, -1)
-        gw = np.einsum(f"kbcij,rbcij->{sub}", grad_units, cols, optimize=self._matmul)
+        gw = np.einsum(f"kbcij,rbcij->{sub}", grad_units, cols, optimize=self.units > 1)
         self.weights_grad += gw.reshape(self.weights.shape)
         if self.bias is not None:
             self.bias_grad += np.einsum(f"kbcij->{sub[:-1]}", grad_units).reshape(self.bias.shape)
         # Units first: einsum's matmul route then writes the columns contiguously.
-        return np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self._matmul)
+        return np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self.units > 1)
 
 
 class PerceptronUpsample(PerceptronPool):

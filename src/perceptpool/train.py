@@ -225,6 +225,8 @@ def _read_checkpoint(f) -> tuple[Sequential, TrainConfig]:
         if stored.shape != _as_rank4(arr).shape:
             raise ValueError(f"{name}: stored shape {stored.shape}, model has {_as_rank4(arr).shape}")
         arr[...] = stored.reshape(arr.shape).astype(arr.dtype)
+    if tail := len(f.read()):
+        raise ValueError(f"{tail} bytes after the last tensor")
     return model, cfg
 
 

@@ -82,6 +82,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 2\nepochs = 1.5\n", "line 2: epochs: invalid literal for int()"),
+        ("lr = fast\n", "line 1: lr: could not convert string to float"),
+        ("pooling.use_bias = maybe\n", "line 1: pooling.use_bias: expected a boolean, got 'maybe'"),
+        ("schedule.epochs = 2,x\n", "line 1: schedule.epochs: invalid literal for int()"),
+    ], ids=["int", "float", "bool", "tuple"])
+    def test_unparsable_value_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("optimizer.beta1 = 1.0\n", "optimizer.beta1 must be in [0, 1), got 1.0"),
+        ("beta1 = -0.1\n", "optimizer.beta1 must be in [0, 1), got -0.1"),
+        ("optimizer.beta2 = 1\n", "optimizer.beta2 must be in [0, 1), got 1.0"),
+        ("optimizer = sgd\nbeta2 = 1.5\n", "optimizer.beta2 must be in [0, 1), got 1.5"),
+        ("pooling.units = 2\n", "pooling.units must be a perfect square, got 2"),
+    ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "pooling-message-unchanged"])
+    def test_out_of_range_value_names_full_key(self, text, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            parse_config(text)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(pooling_kind="wavelet")

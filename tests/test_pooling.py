@@ -197,18 +197,28 @@ class TestProperties:
         rhs = a * pool.forward(x) + b * pool.forward(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12, rtol=0)
 
-    def test_per_tensor_broadcast_of_global_matches(self):
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("units", [1, 4])
+    @pytest.mark.parametrize("sharing", [Sharing.PER_CHANNEL, Sharing.PER_FIELD, Sharing.PER_TENSOR])
+    def test_per_tensor_broadcast_of_global_matches(self, sharing, units, activation):
+        # every instance a copy of one GLOBAL neuron: same outputs and input
+        # gradient, and parameter gradients that sum over instances to GLOBAL's
         rng = np.random.default_rng(12)
-        g = PerceptronPool(2, 2, units=4, dtype=np.float64)
+        g = PerceptronPool(2, 2, units=units, activation=activation, dtype=np.float64)
         g.bind(3, 6, 6)
         g.weights[...] = rng.normal(size=g.weights.shape)
         g.bias[...] = rng.normal(size=g.bias.shape)
-        t = PerceptronPool(2, 2, units=4, sharing=Sharing.PER_TENSOR, dtype=np.float64)
+        t = PerceptronPool(2, 2, units=units, sharing=sharing, activation=activation,
+                           dtype=np.float64)
         t.bind(3, 6, 6)
         t.weights[...] = np.broadcast_to(g.weights, t.weights.shape)
         t.bias[...] = np.broadcast_to(g.bias, t.bias.shape)
         x = rng.normal(size=(2, 3, 6, 6))
         np.testing.assert_allclose(t.forward(x), g.forward(x), atol=1e-13, rtol=0)
+        grad = rng.normal(size=g.output_shape(x.shape))
+        np.testing.assert_allclose(t.backward(grad), g.backward(grad), atol=1e-13, rtol=0)
+        np.testing.assert_allclose(t.weights_grad.sum(axis=0), g.weights_grad[0], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(t.bias_grad.sum(axis=0), g.bias_grad[0], atol=1e-12, rtol=0)
 
     def test_instantiation_counts(self):
         cases = [

@@ -145,6 +145,14 @@ class TestCheckpoints:
             if section != "magic":
                 assert f"truncated {section}" in str(err.value), (section, err.value)
 
+    def test_bytes_after_last_tensor_name_the_file(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "tail.ckpt"
+        save_checkpoint(path, build_model(cfg), cfg)
+        path.write_bytes(path.read_bytes() + b"garbage tail")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: 12 bytes after the last tensor")):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("section,value", [
         ("config length", struct.pack("<Q", 2**62)),
         ("config length", struct.pack("<Q", 2**63)),
