@@ -33,13 +33,17 @@ bound at first forward (or an explicit bind); changing the relevant shape
 afterwards is an error.
 
 All three run one chain engine (_chain_forward/_chain_backward): the first
-layer's windows are copied out once by layers.im2col, each layer is one
-einsum per direction on unit outputs (the sharing mode only changes the
-weight subscripts), and depth-to-space restructures the last layer's units;
-the input gradient goes back through layers.col2im. A layer contracts
-through BLAS only when it has several units; its bias view is built at
-bind. The unit layers keep no state: each layer's (columns,
-pre-activation) is the slot's saved state.
+layer's windows are copied out once by layers.im2col, the chain runs as
+affine pieces on unit outputs, each one einsum per direction (the sharing
+mode only changes the weight subscripts), and depth-to-space restructures
+the last layer's units; the input gradient goes back through layers.col2im.
+One rule cuts the pieces: with no ReLU the whole chain is one composed
+affine map, its layers' weights multiplied per instance into one
+units x wh*ww map with one bias, so an identity nn_16_1 costs what a
+perceptron costs and never holds its 16 unit planes; a ReLU cannot be
+folded, so a chain with one runs per-layer units. A single layer runs the
+same einsums either way. The unit layers keep no state: each piece's
+(columns, prefix maps, pre-activation) is the slot's saved state.
 """
 
 from __future__ import annotations
@@ -102,19 +106,93 @@ _WEIGHT_SUBSCRIPTS = {
 }
 
 
+def _pieces(layers):
+    """The affine maps a chain runs: all its layers composed into one when
+    none has a ReLU, else one per layer."""
+    if any(layer.activation == "relu" for layer in layers):
+        return [[layer] for layer in layers]
+    return [layers]
+
+
+def _compose(layers):
+    """Prefix maps (P_l, c_l) of affine layers chained on unit outputs, one
+    per layer and instance: P_l = W_l P_{l-1} (instances, units_l, wh*ww)
+    maps the first layer's columns to layer l's units, and c_l = W_l c_{l-1}
+    + b_l (instances, units_l) is its bias, None while no layer has one."""
+    maps, p, c = [], None, None
+    for layer in layers:
+        w = layer.weights.reshape(*layer.weights.shape[:2], -1)
+        c = None if c is None else (w @ c[..., None])[..., 0]
+        if layer.bias is not None:
+            c = layer.bias if c is None else c + layer.bias
+        p = w if p is None else w @ p
+        maps.append((p, c))
+    return maps
+
+
+# optimize=True hands a contraction to BLAS matmul, which pays off for
+# several units. A single unit is a weighted sum of the wh*ww column planes,
+# which einsum's own loop does in one pass: a 2x2 forward on 50x64x32x32
+# float32 took 1.5 against 7 ms through BLAS under GLOBAL sharing and 7
+# against 19 ms under PER_TENSOR (2 cores, OpenBLAS). A piece contracts
+# with its last layer's units, so nn_4_1 and nn_16_1 run one 1-unit 2x2 map.
+def _piece_forward(layers, cols):
+    """Last layer's units (units, B, C, oH, oW) of one affine piece over
+    columns (wh*ww, B, C, oH, oW), and its saved (columns, prefix maps,
+    pre-activation a ReLU backward needs or None)."""
+    last, maps = layers[-1], _compose(layers)
+    sub, key = _WEIGHT_SUBSCRIPTS[last.sharing], last._bound_key
+    p, c = maps[-1]
+    pre = np.einsum(f"rbcij,{sub}->kbcij", cols, p.reshape(*key, last.units, -1), optimize=last.units > 1)
+    if c is not None:
+        bias = np.moveaxis(c.reshape(*key, last.units), -1, 0)
+        pre += np.expand_dims(bias, [a for a, s in enumerate("kbcij") if s not in sub])
+    if last.activation == "relu":
+        return np.maximum(pre, 0), (cols, maps, pre)
+    return pre, (cols, maps, None)
+
+
+def _piece_backward(layers, grad, cols, maps, pre):
+    """Accumulate every layer's parameter gradients from the gradient of the
+    piece's units (overwritten) and return the column gradient. One pass
+    gives the composed map's gradients S = sum g cols^T and G = sum g; then,
+    with A_l = W_L...W_{l+1}, dW_l = A_l^T (S P_{l-1}^T + G c_{l-1}^T) and
+    db_l = A_l^T G, walking s = A_l^T S and g = A_l^T G down the chain."""
+    if pre is not None:
+        grad *= pre > 0
+    last = layers[-1]
+    sub, key = _WEIGHT_SUBSCRIPTS[last.sharing], last._bound_key
+    p, c = maps[-1]
+    s = np.einsum(f"kbcij,rbcij->{sub}", grad, cols, optimize=last.units > 1).reshape(p.shape)
+    g = None if c is None else np.einsum(f"kbcij->{sub[:-1]}", grad).reshape(*c.shape, 1)
+    # Units first: einsum's matmul route then writes the columns contiguously.
+    grad_cols = np.einsum(f"kbcij,{sub}->rbcij", grad, p.reshape(*key, last.units, -1), optimize=last.units > 1)
+    for l, layer in reversed(list(enumerate(layers))):
+        p, c = maps[l - 1] if l else (None, None)
+        gw = s if p is None else s @ p.swapaxes(1, 2)
+        if c is not None:
+            gw = gw + g @ c[:, None, :]
+        layer.weights_grad += gw.reshape(layer.weights.shape)
+        if layer.bias is not None:
+            layer.bias_grad += g.reshape(layer.bias.shape)
+        if l:
+            w_t = layer.weights.reshape(*layer.weights.shape[:2], -1).swapaxes(1, 2)
+            s, g = w_t @ s, None if g is None else w_t @ g
+    return grad_cols
+
+
 def _chain_forward(layers, x, train):
     """Output of perceptron layers chained on unit outputs (im2col for the
-    first layer, one unit layer each, depth-to-space of the last one's
-    units), and, when training, each layer's (columns, pre-activation)."""
+    first layer, each affine piece on the previous one's units, depth-to-space
+    of the last layer's units), and, when training, each piece's saved state."""
     first = layers[0]
     units = im2col(x, *first.window, first.stride)
     units = units.reshape(-1, *units.shape[2:])
     saved = []
-    for layer in layers:
-        out, pre = layer._units_forward(units)
+    for piece in _pieces(layers):
+        units, state = _piece_forward(piece, units)
         if train:
-            saved.append((units, pre))
-        units = out
+            saved.append(state)
     return restructure(np.moveaxis(units, 0, 2), layers[-1].block), saved
 
 
@@ -122,8 +200,8 @@ def _chain_backward(layers, grad_out, saved):
     """Adjoint of _chain_forward: accumulate every layer's parameter
     gradients and return the gradient of the chain's input."""
     grad = np.moveaxis(unrestructure(grad_out, layers[-1].block), 2, 0)
-    for layer, (cols, pre) in zip(reversed(layers), reversed(saved)):
-        grad = layer._units_backward(grad, cols, pre)
+    for piece, state in zip(reversed(_pieces(layers)), reversed(saved)):
+        grad = _piece_backward(piece, grad, *state)
     (wh, ww), s = layers[0].window, layers[0].stride
     _, b, c, oh, ow = grad.shape
     return col2im(grad.reshape(wh, ww, b, c, oh, ow),
@@ -170,7 +248,6 @@ class PerceptronPool(Layer):
         self.weights_grad = None
         self.bias_grad = None
         self._bound_key = None  # frozen (C, oH, oW) slice relevant to the mode
-        self._unit_bias = None  # view of bias, broadcastable against (units, B, C, oH, oW)
 
     # -- instantiation -----------------------------------------------------
 
@@ -202,10 +279,6 @@ class PerceptronPool(Layer):
         self.weights_grad = np.zeros_like(self.weights)
         self.bias_grad = np.zeros_like(self.bias) if self.use_bias else None
         self._bound_key = key
-        if self.use_bias:
-            # A view, so the optimizer's and load_checkpoint's in-place writes reach it.
-            bias = np.moveaxis(self.bias.reshape(*key, self.units), -1, 0)
-            self._unit_bias = np.expand_dims(bias, [p for p, s in enumerate("kbcij") if s not in sub])
         initializers.apply_pool_init(self, self.init, self._rng)
 
     def param_groups(self):
@@ -233,44 +306,10 @@ class PerceptronPool(Layer):
         return _chain_backward([self], grad_out, saved)
 
     def kink_margin(self):
-        """Smallest |pre-activation| of the chain's ReLU units in the last training forward."""
-        pres = [] if self._saved is None else [p for _, p in self._saved[0] if p is not None]
+        """Smallest |pre-activation| of the chain's ReLU units in the last
+        training forward; None for an identity chain, which has no kink."""
+        pres = [] if self._saved is None else [p for *_, p in self._saved[0] if p is not None]
         return min(float(np.min(np.abs(p))) for p in pres) if pres else None
-
-    # -- one einsum per direction on unit outputs ----------------------------
-    # optimize=True hands a contraction to BLAS matmul, which pays off for
-    # several units. A single unit is a weighted sum of the wh*ww column
-    # planes, which einsum's own loop does in one pass: a 2x2 forward on
-    # 50x64x32x32 float32 took 1.5 against 7 ms through BLAS under GLOBAL
-    # sharing and 7 against 19 ms under PER_TENSOR (2 cores, OpenBLAS). At
-    # 4x4 (nn_16_1's last layer) BLAS is up to 1.3x faster, ~2% of a step.
-
-    def _units_forward(self, cols):
-        """Unit outputs (units, B, C, oH, oW) from columns (wh*ww, B, C, oH, oW),
-        and the pre-activation a ReLU backward needs (None for identity)."""
-        sub = _WEIGHT_SUBSCRIPTS[self.sharing]
-        weights = self.weights.reshape(*self._bound_key, self.units, -1)
-        pre = np.einsum(f"rbcij,{sub}->kbcij", cols, weights, optimize=self.units > 1)
-        if self.bias is not None:
-            pre += self._unit_bias
-        if self.activation == "relu":
-            return np.maximum(pre, 0), pre
-        return pre, None
-
-    def _units_backward(self, grad_units, cols, pre):
-        """Accumulate parameter gradients from the unit-output gradient
-        (units, B, C, oH, oW), which is overwritten; return the column
-        gradient (wh*ww, B, C, oH, oW)."""
-        if pre is not None:
-            grad_units *= pre > 0
-        sub = _WEIGHT_SUBSCRIPTS[self.sharing]
-        weights = self.weights.reshape(*self._bound_key, self.units, -1)
-        gw = np.einsum(f"kbcij,rbcij->{sub}", grad_units, cols, optimize=self.units > 1)
-        self.weights_grad += gw.reshape(self.weights.shape)
-        if self.bias is not None:
-            self.bias_grad += np.einsum(f"kbcij->{sub[:-1]}", grad_units).reshape(self.bias.shape)
-        # Units first: einsum's matmul route then writes the columns contiguously.
-        return np.einsum(f"kbcij,{sub}->rbcij", grad_units, weights, optimize=self.units > 1)
 
 
 class PerceptronUpsample(PerceptronPool):
@@ -307,8 +346,9 @@ class MlpPoolStack(Layer):
     restructured output, e.g. NN-4-1 = [4 units of 2x2/2, 1 unit of 2x2/2].
 
     Every layer after the first must be aligned: its window and stride equal
-    the previous layer's block, so it reads the previous unit outputs as its
-    columns and the stack is one chain of per-window unit layers.
+    the previous layer's block and its sharing mode is the previous one's, so
+    it reads the previous unit outputs as its columns, binds the same
+    instances, and the stack is one chain of per-window unit layers.
     """
 
     def __init__(self, layers: list[PerceptronPool], name: str = "mlppool"):
@@ -321,9 +361,11 @@ class MlpPoolStack(Layer):
                 layer.name = f"{name}.{i}"
         for i, (prev, layer) in enumerate(zip(self.layers, self.layers[1:]), start=1):
             q = prev.block
-            if (layer.window, layer.stride) != ((q, q), q):
-                raise ValueError(f"{name}: layer {i} has window {layer.window} and stride "
-                                 f"{layer.stride}, not the {q}x{q}/{q} unit blocks of layer {i - 1}")
+            if (layer.window, layer.stride, layer.sharing) != ((q, q), q, prev.sharing):
+                raise ValueError(f"{name}: layer {i} has window {layer.window}, stride "
+                                 f"{layer.stride} and {layer.sharing.value} sharing, not the "
+                                 f"{q}x{q}/{q} unit blocks and {prev.sharing.value} sharing "
+                                 f"of layer {i - 1}")
 
     def bind(self, channels, height, width):
         shape = (1, channels, height, width)

@@ -31,6 +31,14 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--layer", "nn_16_1"]) == 0
         assert main(["gradcheck", "--layer", "upsample:units=16"]) == 0
 
+    @pytest.mark.parametrize("spec, use_bias", [("nn_4_1", True), ("nn_16_1:use_bias=false", False)])
+    def test_composed_stack_specs(self, spec, use_bias, capsys):
+        # identity stacks run as one composed map, with and without a bias
+        stack, _ = build_check_layer(spec)
+        assert [layer.use_bias for layer in stack.layers] == [use_bias, use_bias]
+        assert main(["gradcheck", "--layer", spec]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_average_pool_exact(self, capsys):
         assert main(["gradcheck", "--layer", "average", "--tolerance", "1e-8"]) == 0
 

@@ -284,6 +284,12 @@ class TestMlpStack:
         with pytest.raises(ValueError, match=f"layer {index} "):
             MlpPoolStack(layers)
 
+    def test_mixed_sharing_rejected_at_construction(self):
+        # aligned layers must bind the same instances to compose per instance
+        with pytest.raises(ValueError, match="layer 1 .* global sharing, .* per_channel sharing"):
+            MlpPoolStack([PerceptronPool(2, 2, units=4, sharing=Sharing.PER_CHANNEL, dtype=np.float64),
+                          PerceptronPool(2, 2, units=1, dtype=np.float64)])
+
     def test_stack_gradients(self):
         rng = np.random.default_rng(18)
         for stack in (nn_4_1(), nn_16_1(),
@@ -317,24 +323,27 @@ class TestStackMatchesComposition:
     layers one by one through PerceptronPool.forward/backward (depth-to-space
     and im2col between every pair) must give the same numbers."""
 
+    @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("sharing", list(Sharing))
     @pytest.mark.parametrize("activation", ["identity", "relu"])
     @pytest.mark.parametrize("spec", list(STACK_SPECS))
-    def test_outputs_and_gradients(self, spec, activation, sharing):
+    def test_outputs_and_gradients(self, spec, activation, sharing, use_bias):
         rng = np.random.default_rng(22)
         stack = MlpPoolStack([
             PerceptronPool(window, stride, units=units, sharing=sharing, activation=activation,
-                           init="glorot", rng=rng, dtype=np.float64)
+                           use_bias=use_bias, init="glorot", rng=rng, dtype=np.float64)
             for units, window, stride in STACK_SPECS[spec]
         ])
         stack.bind(3, 8, 8)
         for layer in stack.layers:
-            layer.bias[...] = rng.normal(scale=0.3, size=layer.bias.shape)
+            if use_bias:
+                layer.bias[...] = rng.normal(scale=0.3, size=layer.bias.shape)
         x = rng.normal(size=(2, 3, 8, 8))
         out = stack.forward(x)
         grad_out = rng.normal(size=out.shape)
         grad_x = stack.backward(grad_out)
-        chained = [(layer.weights_grad.copy(), layer.bias_grad.copy()) for layer in stack.layers]
+        chained = [(layer.weights_grad.copy(), layer.bias_grad.copy() if use_bias else None)
+                   for layer in stack.layers]
 
         stack.zero_grad()
         composed = x
@@ -348,7 +357,40 @@ class TestStackMatchesComposition:
         np.testing.assert_allclose(grad_x, grad_composed, atol=1e-12, rtol=0)
         for layer, (weights_grad, bias_grad) in zip(stack.layers, chained):
             np.testing.assert_allclose(weights_grad, layer.weights_grad, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(bias_grad, layer.bias_grad, atol=1e-12, rtol=0)
+            if use_bias:
+                np.testing.assert_allclose(bias_grad, layer.bias_grad, atol=1e-12, rtol=0)
+
+    def test_identity_stack_saves_only_first_columns(self):
+        # An identity stack is one composed map: its training forward keeps
+        # the first layer's 2x2 columns (x.size values), never the 16-unit
+        # intermediate (4x that), which a ReLU stack must keep.
+        def saved_sizes(stack):
+            sizes, todo = [], [stack._saved]
+            while todo:
+                obj = todo.pop()
+                if isinstance(obj, np.ndarray):
+                    sizes.append(obj.size)
+                elif isinstance(obj, (list, tuple)):
+                    todo.extend(obj)
+            return sizes
+
+        x = np.random.default_rng(23).normal(size=(2, 3, 16, 16))
+        identity = nn_16_1(init="glorot", rng=np.random.default_rng(24))
+        relu = nn_16_1(activation="relu", init="glorot", rng=np.random.default_rng(24))
+        identity.forward(x)
+        relu.forward(x)
+        assert max(saved_sizes(identity)) == x.size
+        assert max(saved_sizes(relu)) == 4 * x.size
+
+    def test_kink_margin_only_with_relu(self):
+        # gradcheck resamples its input only when kink_margin is a float
+        x = np.random.default_rng(25).normal(size=(1, 2, 8, 8))
+        identity = nn_16_1(init="glorot", rng=np.random.default_rng(26))
+        relu = nn_16_1(activation="relu", init="glorot", rng=np.random.default_rng(26))
+        identity.forward(x)
+        relu.forward(x)
+        assert identity.kink_margin() is None
+        assert isinstance(relu.kink_margin(), float)
 
     def test_grad_out_shape_checked(self):
         stack = nn_16_1()
