@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,16 +69,12 @@ def build_check_layer(spec: str):
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.data:
-        cfg.data_root = args.data
+        # replace() reruns the config checks: a synth config rejects data.root.
+        cfg = replace(cfg, data_root=args.data)
     best = None
-    base_seed = cfg.seed
     for run in range(args.runs):
-        if args.runs > 1:
-            cfg.seed = base_seed + run
-            out = f"{args.out}/run{run}"
-        else:
-            out = args.out
-        result = train(cfg, out, log=print)
+        out = f"{args.out}/run{run}" if args.runs > 1 else args.out
+        result = train(replace(cfg, seed=cfg.seed + run), out, log=print)
         print(f"run {run}: final val_acc {result.final_val_acc:.4f} -> {result.checkpoint_path}")
         best = max(best or 0.0, result.final_val_acc)
     if args.runs > 1:

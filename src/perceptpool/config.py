@@ -12,18 +12,20 @@ Example::
     epochs = 15
     seed = 1
 
-Unknown keys are rejected, and so is a second key for a field already set
-(`pooling = max` and `pooling.kind = perceptron` set the same field).
-`TrainConfig.to_text` emits every field (defaults included) in a stable
-order, which is what gets echoed into metrics files and checkpoints for
-provenance.
+The keys `TrainConfig.to_text` writes are the only spelling: each field's
+name with its first `_` made a `.`. `to_text` emits every field (defaults
+included) in a stable order, which is what gets echoed into metrics files
+and checkpoints for provenance, so an echo loads back as the same config.
+Unknown keys are rejected, and so is a key given twice.
 
-`POOLING_KINDS` is the one table of pooling kinds: what each builds (see
-models.make_pooling_slot) and so which `pooling.*` keys it reads. A key the
-chosen kind does not read must keep its default, so no setting is silently
-ignored. The retired keys `pooling.sharing`, `upsample.kind` and
-`upsample.units` were read by nothing; older echoes still load because their
-one echoed value is skipped, and any other value is rejected.
+Every value rule is one row of the `(key, ok, rule)` table in
+`TrainConfig.__post_init__`. `POOLING_KINDS`, `OPTIMIZERS` and `DATA_KINDS`
+map each kind to the keys of its section that it reads (for pooling, what
+each kind builds; see models.make_pooling_slot). A key the chosen kind does
+not read must keep its default, so no setting is silently ignored. The
+retired keys `pooling.sharing`, `upsample.kind` and `upsample.units` were
+read by nothing; older echoes still load because their one echoed value is
+skipped, and any other value is rejected.
 """
 
 from __future__ import annotations
@@ -52,8 +54,12 @@ POOLINGS = tuple(POOLING_KINDS)
 _NEURON_KEYS = ("activation", "use_bias", "lr_factor", "wd_factor", "init")
 _WINDOW_KEYS = ("window", "stride", "units")
 INITS = ("average", "pattern", "glorot")
-OPTIMIZERS = ("sgd", "adam")
-DATA_KINDS = ("synth", "cifar10")
+# kind -> the optimizer.* and data.* keys it reads (see optim.make_optimizer
+# and train.prepare_data; only raw cifar10 batches are augmented).
+OPTIMIZERS = {"sgd": ("lr", "momentum", "weight_decay"),
+              "adam": ("lr", "beta1", "beta2", "weight_decay")}
+DATA_KINDS = {"synth": ("synth_train", "synth_val", "classes"),
+              "cifar10": ("root", "augment", "train_size", "val_size", "classes")}
 # Retired keys and the one value every older echo carries.
 RETIRED = {"pooling.sharing": "global", "upsample.kind": "", "upsample.units": "4"}
 
@@ -97,20 +103,11 @@ class TrainConfig:
     batch_balanced: bool = True
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.pooling_kind not in POOLINGS:
-            raise ValueError(f"unknown pooling {self.pooling_kind!r}; choose from {POOLINGS}")
-        entry = POOLING_KINDS[self.pooling_kind]
-        read = () if entry is None else _NEURON_KEYS + (() if entry[1] else _WINDOW_KEYS)
-        for f in fields(self):
-            key = f.name.removeprefix("pooling_")
-            if (f.name.startswith("pooling_") and key not in ("kind", *read)
-                    and getattr(self, f.name) != f.default):
-                raise ValueError(f"pooling.{key} = {getattr(self, f.name)!r} is not read by "
-                                 f"pooling.kind = {self.pooling_kind}; remove it")
         units = self.pooling_units
         for key, ok, rule in (
+                ("model", self.model in MODELS, f"one of {MODELS}"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("pooling.kind", self.pooling_kind in POOLING_KINDS, f"one of {POOLINGS}"),
                 ("pooling.window", self.pooling_window >= 1, ">= 1"),
                 ("pooling.stride", self.pooling_stride >= 1, ">= 1"),
                 ("pooling.units", units >= 1 and math.isqrt(units) ** 2 == units, "a perfect square"),
@@ -118,17 +115,22 @@ class TrainConfig:
                 ("pooling.wd_factor", self.pooling_wd_factor >= 0, ">= 0"),
                 ("pooling.activation", self.pooling_activation in ACTIVATIONS, f"one of {ACTIVATIONS}"),
                 ("pooling.init", self.pooling_init in INITS, f"one of {INITS}"),
+                ("optimizer.kind", self.optimizer_kind in OPTIMIZERS, f"one of {tuple(OPTIMIZERS)}"),
                 # Adam divides by 1 - beta**t.
                 ("optimizer.beta1", 0 <= self.optimizer_beta1 < 1, "in [0, 1)"),
-                ("optimizer.beta2", 0 <= self.optimizer_beta2 < 1, "in [0, 1)")):
+                ("optimizer.beta2", 0 <= self.optimizer_beta2 < 1, "in [0, 1)"),
+                ("data.kind", self.data_kind in DATA_KINDS, f"one of {tuple(DATA_KINDS)}")):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key.replace('.', '_'))!r}")
-        if self.optimizer_kind not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer_kind!r}")
-        if self.data_kind not in DATA_KINDS:
-            raise ValueError(f"unknown data kind {self.data_kind!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        entry = POOLING_KINDS[self.pooling_kind]
+        reads = {"pooling": () if entry is None else _NEURON_KEYS + (() if entry[1] else _WINDOW_KEYS),
+                 "optimizer": OPTIMIZERS[self.optimizer_kind], "data": DATA_KINDS[self.data_kind]}
+        for f in fields(self):
+            section, _, key = f.name.partition("_")
+            value = getattr(self, f.name)
+            if section in reads and key not in ("kind", *reads[section]) and value != f.default:
+                raise ValueError(f"{section}.{key} = {value!r} is not read by "
+                                 f"{section}.kind = {getattr(self, section + '_kind')}; remove it")
         self.schedule_epochs = tuple(int(e) for e in self.schedule_epochs)
 
     @property
@@ -139,8 +141,7 @@ class TrainConfig:
 
     def to_text(self) -> str:
         lines = []
-        for f in fields(self):
-            key = f.name.replace("_", ".", 1) if "_" in f.name else f.name
+        for key, f in _KEYMAP.items():
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
@@ -150,39 +151,21 @@ class TrainConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELDS = {f.name: f for f in fields(TrainConfig)}
-_KEYMAP = {(f.name.replace("_", ".", 1) if "_" in f.name else f.name): f.name for f in fields(TrainConfig)}
-# Short spellings accepted on input; to_text always emits the dotted form.
-_KEYMAP.update({
-    "pooling": "pooling_kind",
-    "optimizer": "optimizer_kind",
-    "data": "data_kind",
-    "init": "pooling_init",
-    "lr": "optimizer_lr",
-    "momentum": "optimizer_momentum",
-    "beta1": "optimizer_beta1",
-    "beta2": "optimizer_beta2",
-    "weight_decay": "optimizer_weight_decay",
-    "batch_size": "batch_size",
-})
+# The one spelling of each field: its name with the first "_" made a ".".
+_KEYMAP = {f.name.replace("_", ".", 1): f for f in fields(TrainConfig)}
 
 
-def _coerce(name: str, raw: str):
-    f = _FIELDS[name]
-    raw = raw.strip()
-    if f.type in ("int", int):
-        return int(raw)
-    if f.type in ("float", float):
-        return float(raw)
-    if f.type in ("bool", bool):
+def _coerce(f, raw: str):
+    kind = type(f.default)
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    if "tuple" in str(f.type):
-        return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
-    return raw
+    if kind is tuple:
+        return tuple(int(v) for v in raw.split(",") if v.strip())
+    return kind(raw)
 
 
 def parse_config(text: str) -> TrainConfig:
@@ -201,16 +184,18 @@ def parse_config(text: str) -> TrainConfig:
             continue
         if key not in _KEYMAP:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        name = _KEYMAP[key]
-        if name in values:
-            raise ValueError(f"lines {first_line[name]} and {lineno} both set "
-                             f"{name.replace('_', '.', 1)}")
+        if key in first_line:
+            raise ValueError(f"lines {first_line[key]} and {lineno} both set {key}")
         try:
-            values[name], first_line[name] = _coerce(name, raw), lineno
+            values[_KEYMAP[key].name], first_line[key] = _coerce(_KEYMAP[key], raw), lineno
         except ValueError as e:
             raise ValueError(f"line {lineno}: {key}: {e}") from None
     return TrainConfig(**values)
 
 
 def load_config(path) -> TrainConfig:
-    return parse_config(Path(path).read_text())
+    """Read a config file; any error raises a ValueError that starts with the path."""
+    try:
+        return parse_config(Path(path).read_text())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import POOLING_KINDS, TrainConfig
 from .layers import BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU
-from .pooling import MlpPoolStack, PerceptronPool, param_count
+from .pooling import MlpPoolStack, PerceptronPool
 
 
 class Sequential(Layer):
@@ -157,22 +157,16 @@ class AuditResult:
 
 
 def audit_params(cfg: TrainConfig) -> AuditResult:
-    """Per-slot learnable-parameter counts plus the model total.
-
-    Perceptron slots are counted with the closed-form instances * units *
-    (W*H + 1) rule; other slots by the size of their parameter arrays. The
-    two agree, which the test suite checks.
+    """Per-slot learnable-parameter counts plus the model total, each the
+    size of the parameter arrays. For perceptron slots this is the paper's
+    closed form instances * units * (W*H + 1) (pooling.param_count), which
+    the test suite checks against the arrays.
     """
     model = build_model(cfg)
     rows = []
     total_pooling = 0
     for name, slot_layers in model.slots.items():
-        count = 0
-        for layer in slot_layers:
-            if isinstance(layer, (PerceptronPool, MlpPoolStack)):
-                count += param_count(layer)
-            else:
-                count += sum(g.param.size for g in layer.param_groups())
+        count = sum(g.param.size for layer in slot_layers for g in layer.param_groups())
         rows.append(AuditRow(slot=name, params=count))
         total_pooling += count
     model_total = sum(g.param.size for g in model.param_groups())

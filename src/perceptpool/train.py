@@ -1,7 +1,7 @@
 """Training driver: batching, optimization, metrics, checkpoints.
 
 Runs are deterministic for a fixed seed: data order, augmentation and
-initialization each draw from generators derived from (seed, purpose), so
+initialization each draw from a generator models.rng_for(seed, purpose), so
 the batch stream is identical across pooling variants of the same seed.
 Wall-clock timing comes from an injectable `timer` so tests can compare
 metrics files byte for byte.
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as data_mod
 from .config import TrainConfig, parse_config
-from .models import Sequential, build_model
+from .models import Sequential, build_model, rng_for
 from .layers import softmax_xent
 from .optim import StepSchedule, make_optimizer
 from .tensor import read_exact, read_tensor, write_tensor
@@ -52,7 +52,7 @@ def prepare_data(cfg: TrainConfig) -> Dataset:
         vx, vy = x[cfg.data_synth_train :], y[cfg.data_synth_train :]
         return Dataset(tx, ty, vx, vy, raw=False)
     train_x, train_y, test_x, test_y = data_mod.load_cifar10(cfg.data_root or None)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, zlib_tag("subset"))))
+    rng = rng_for(cfg.seed, "subset")
     if cfg.data_train_size:
         idx = data_mod.balanced_subset(train_y, cfg.data_train_size, rng, cfg.num_classes)
         train_x, train_y = train_x[idx], train_y[idx]
@@ -113,8 +113,8 @@ def train(cfg: TrainConfig, out_dir, timer=time.perf_counter, log=None) -> Train
         beta2=cfg.optimizer_beta2, weight_decay=cfg.optimizer_weight_decay,
     )
     schedule = StepSchedule(cfg.optimizer_lr, cfg.schedule_factor, cfg.schedule_epochs)
-    batch_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, zlib_tag("batches"))))
-    augment_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, zlib_tag("augment"))))
+    batch_rng = rng_for(cfg.seed, "batches")
+    augment_rng = rng_for(cfg.seed, "augment")
 
     metrics_path = out_dir / "metrics.csv"
     with metrics_path.open("w") as f:

@@ -14,7 +14,7 @@ def tiny_config_file(tmp_path):
         "pooling.kind = perceptron\n"
         "epochs = 2\n"
         "seed = 3\n"
-        "batch_size = 50\n"
+        "batch.size = 50\n"
         "data.synth_train = 150\n"
         "data.synth_val = 50\n"
     )
@@ -102,6 +102,13 @@ class TestTrainEvalCommands:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(out_dir / "checkpoint.ckpt")]) == 0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_data_root_on_synth_config_rejected(self, tiny_config_file, tmp_path):
+        # --data goes through the config checks, and a synth run reads no data.root
+        with pytest.raises(ValueError, match="^data.root = .* not read by data.kind = synth"):
+            main(["train", "--config", str(tiny_config_file), "--out", str(tmp_path / "run"),
+                  "--data", str(tmp_path)])
+        assert not (tmp_path / "run").exists()
 
     def test_runs_wrapper_reports_best(self, tiny_config_file, tmp_path, capsys):
         out_dir = tmp_path / "multi"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perceptpool.config import (POOLING_KINDS, POOLINGS, RETIRED, TrainConfig, load_config,
-                               parse_config)
+from perceptpool.config import (DATA_KINDS, OPTIMIZERS, POOLING_KINDS, POOLINGS, RETIRED,
+                               TrainConfig, load_config, parse_config)
 from perceptpool.layers import Conv2d, softmax_xent
 from perceptpool.models import audit_params, build_model, rng_for
 from perceptpool.optim import make_optimizer
@@ -26,6 +26,12 @@ UNREAD_POOLING_KEYS = {
     "perceptron": (), "nn_z": (), "nn_field": (), "nn_tensor": (),
     "nn_4_1": ("window", "stride", "units"),
     "nn_16_1": ("window", "stride", "units"),
+}
+SECTION_KINDS = {"optimizer": OPTIMIZERS, "data": DATA_KINDS}
+NON_DEFAULT_SECTION = {
+    "optimizer": {"lr": 0.5, "momentum": 0.5, "beta1": 0.5, "beta2": 0.5, "weight_decay": 0.01},
+    "data": {"root": "data/cifar", "augment": "true", "train_size": 100, "val_size": 100,
+             "synth_train": 100, "synth_val": 100, "classes": 4},
 }
 NON_DEFAULT_RETIRED = {"pooling.sharing": "per_field", "upsample.kind": "nn_up",
                        "upsample.units": "16"}
@@ -62,12 +68,12 @@ class TestConfig:
         assert cfg.optimizer_lr == 0.5
         assert cfg.schedule_epochs == (2, 4)
 
-    def test_short_key_spellings(self):
-        cfg = parse_config("optimizer = sgd\nlr = 0.1\ninit = pattern\npooling = nn_4_1\n")
-        assert cfg.optimizer_kind == "sgd"
-        assert cfg.optimizer_lr == 0.1
-        assert cfg.pooling_init == "pattern"
-        assert cfg.pooling_kind == "nn_4_1"
+    @pytest.mark.parametrize("key", ["pooling", "optimizer", "data", "init", "lr", "momentum",
+                                     "beta1", "beta2", "weight_decay", "batch_size"])
+    def test_bare_key_spellings_rejected(self, key):
+        # to_text's dotted keys are the only spelling
+        with pytest.raises(ValueError, match="^" + re.escape(f"line 1: unknown config key {key!r}")):
+            parse_config(f"{key} = 1\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -75,16 +81,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, message", [
         ("epochs = 3\nseed = 2\nepochs = 5\n", "lines 1 and 3 both set epochs"),
-        ("pooling = max\npooling.kind = perceptron\n", "lines 1 and 2 both set pooling.kind"),
-        ("lr = 0.1\n# same value\noptimizer.lr = 0.1\n", "lines 1 and 3 both set optimizer.lr"),
-    ], ids=["same-spelling", "short-then-dotted", "same-value"])
+        ("pooling.kind = max\npooling.kind = perceptron\n", "lines 1 and 2 both set pooling.kind"),
+        ("optimizer.lr = 0.1\n# same value\noptimizer.lr = 0.1\n",
+         "lines 1 and 3 both set optimizer.lr"),
+    ], ids=["same-spelling", "kind-twice", "same-value"])
     def test_key_given_twice_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
 
     @pytest.mark.parametrize("text, message", [
         ("seed = 2\nepochs = 1.5\n", "line 2: epochs: invalid literal for int()"),
-        ("lr = fast\n", "line 1: lr: could not convert string to float"),
+        ("optimizer.lr = fast\n", "line 1: optimizer.lr: could not convert string to float"),
         ("pooling.use_bias = maybe\n", "line 1: pooling.use_bias: expected a boolean, got 'maybe'"),
         ("schedule.epochs = 2,x\n", "line 1: schedule.epochs: invalid literal for int()"),
     ], ids=["int", "float", "bool", "tuple"])
@@ -94,9 +101,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, message", [
         ("optimizer.beta1 = 1.0\n", "optimizer.beta1 must be in [0, 1), got 1.0"),
-        ("beta1 = -0.1\n", "optimizer.beta1 must be in [0, 1), got -0.1"),
+        ("optimizer.beta1 = -0.1\n", "optimizer.beta1 must be in [0, 1), got -0.1"),
         ("optimizer.beta2 = 1\n", "optimizer.beta2 must be in [0, 1), got 1.0"),
-        ("optimizer = sgd\nbeta2 = 1.5\n", "optimizer.beta2 must be in [0, 1), got 1.5"),
+        ("optimizer.kind = sgd\noptimizer.beta2 = 1.5\n",
+         "optimizer.beta2 must be in [0, 1), got 1.5"),
         ("pooling.units = 2\n", "pooling.units must be a perfect square, got 2"),
     ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "pooling-message-unchanged"])
     def test_out_of_range_value_names_full_key(self, text, message):
@@ -120,6 +128,30 @@ class TestConfig:
                            + "".join(f"pooling.{key} = {NON_DEFAULT_POOLING[key]}\n" for key in read))
         # checkpoints echo every key, the unread ones at their defaults
         assert parse_config(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("section, kind, key", [
+        (section, kind, key) for section, table in SECTION_KINDS.items()
+        for kind, read in table.items() for key in NON_DEFAULT_SECTION[section] if key not in read])
+    def test_unread_section_key_rejected(self, section, kind, key):
+        value = NON_DEFAULT_SECTION[section][key]
+        with pytest.raises(ValueError, match=f"^{section}.{key} = .* not read by {section}.kind = {kind}"):
+            parse_config(f"{section}.kind = {kind}\n{section}.{key} = {value}\n")
+
+    @pytest.mark.parametrize("section, kind", [(section, kind) for section, table in SECTION_KINDS.items()
+                                               for kind in table])
+    def test_read_section_keys_accepted(self, section, kind):
+        read = SECTION_KINDS[section][kind]
+        cfg = parse_config(f"{section}.kind = {kind}\n" + "".join(
+            f"{section}.{key} = {NON_DEFAULT_SECTION[section][key]}\n" for key in read))
+        # checkpoints echo every key, the unread ones at their defaults
+        assert parse_config(cfg.to_text()) == cfg
+
+    def test_load_config_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        for text in ("epochs = 3\nepochs: 4\n", "data.augment = true\n", "lr = 0.1\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+                load_config(path)
 
     @pytest.mark.parametrize("key", RETIRED)
     def test_retired_key(self, key):
