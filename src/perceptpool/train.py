@@ -67,7 +67,13 @@ def zlib_tag(name: str) -> int:
 
 
 def evaluate_model(model: Sequential, x: np.ndarray, y: np.ndarray, batch_size: int = 250) -> float:
-    """Top-1 accuracy in eval mode (running batchnorm statistics)."""
+    """Top-1 accuracy in eval mode (running batchnorm statistics).
+
+    `batch_size` is the number of images per `model.forward` call. It does
+    not bound memory: `Sequential` runs an eval forward in cache-sized
+    blocks whatever the batch."""
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} images but {len(y)} labels")
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
@@ -237,7 +243,7 @@ def evaluate_checkpoint(path, val_x=None, val_y=None) -> float:
     if val_x is None:
         dataset = prepare_data(cfg)
         val_x, val_y = dataset.val_x, dataset.val_y
-    if cfg.num_classes <= int(np.max(val_y)):
+    if len(val_y) and cfg.num_classes <= int(np.max(val_y)):  # evaluate_model rejects empty data
         raise ValueError(
             f"checkpoint classifies {cfg.num_classes} classes but labels reach {int(np.max(val_y))}"
         )

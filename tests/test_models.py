@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from perceptpool.config import (DATA_KINDS, OPTIMIZERS, POOLING_KINDS, POOLINGS, RETIRED,
                                TrainConfig, load_config, parse_config)
-from perceptpool.layers import Conv2d, softmax_xent
-from perceptpool.models import audit_params, build_model, rng_for
+from perceptpool.layers import Conv2d, _blocks, softmax_xent
+from perceptpool.models import _EVAL_BLOCK_BYTES, audit_params, build_model, rng_for
 from perceptpool.optim import make_optimizer
 from perceptpool.pooling import MlpPoolStack, PerceptronPool
 
@@ -271,11 +271,12 @@ class TestBuildModel:
         for layer in model.layers:
             h = layer.forward(h, train=False)
             out_shapes.append(h.shape)
-        model.forward(x, train=True)
-        model.forward(x, train=False)
-        for layer, shape in zip(model.layers, out_shapes):
-            with pytest.raises(RuntimeError):
-                layer.backward(np.zeros(shape, dtype=np.float32))
+        for eval_x in (x, multi_block_batch(np.float32)):
+            model.forward(x, train=True)
+            model.forward(eval_x, train=False)
+            for layer, shape in zip(model.layers, out_shapes):
+                with pytest.raises(RuntimeError):
+                    layer.backward(np.zeros(shape, dtype=np.float32))
 
     def test_second_training_step_peaks_no_higher_than_the_first(self):
         """Every layer drops its saved arrays before its next forward, so a
@@ -334,6 +335,61 @@ class TestBuildModel:
         pool = model.slots["pool1"][0]
         assert isinstance(pool, PerceptronPool)
         assert not np.all(pool.weights == 0.25)
+
+
+def multi_block_batch(dtype):
+    """CIFAR-sized images filling two eval blocks, plus one image in a third."""
+    per_block = _EVAL_BLOCK_BYTES // (3 * 32 * 32 * np.dtype(dtype).itemsize)
+    x = np.random.default_rng(6).normal(size=(2 * per_block + 1, 3, 32, 32)).astype(dtype)
+    assert len(_blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)) == 3
+    return x
+
+
+def layer_walk(model, x):
+    for layer in model.layers:
+        x = layer.forward(x, train=False)
+    return x
+
+
+class TestBlockedEval:
+    """An eval forward runs the batch in blocks, each through every layer."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("model_name", ["model_a_like", "model_c_like"])
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_matches_whole_batch_layer_walk(self, pooling, model_name, dtype, rtol):
+        init = {} if POOLING_KINDS[pooling] is None else {"pooling_init": "glorot"}
+        model = build_model(TrainConfig(model=model_name, pooling_kind=pooling,
+                                        data_kind="cifar10", seed=3, **init), dtype)
+        rng = np.random.default_rng(5)
+        # Move BatchNorm's running statistics off their start.
+        model.forward(rng.normal(0.5, 2.0, size=(8, 3, 32, 32)).astype(dtype), train=True)
+        x = multi_block_batch(dtype)
+        whole = layer_walk(model, x)
+        blocked = model.forward(x, train=False)
+        assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
+        assert np.max(np.abs(blocked - whole)) <= rtol * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("model_name", ["model_a_like", "model_c_like"])
+    def test_equals_the_blocks_run_one_by_one(self, model_name):
+        model = build_model(TrainConfig(model=model_name, pooling_kind="max", data_kind="cifar10"))
+        x = multi_block_batch(np.float32)
+        one_by_one = np.concatenate([model.forward(x[blk], train=False)
+                                     for blk in _blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)])
+        assert model.forward(x, train=False).tobytes() == one_by_one.tobytes()
+
+    def test_peak_memory_below_one_whole_batch_activation(self):
+        # Five blocks, so the peak is one block's activations, not the input.
+        model = build_model(TrainConfig(model="model_c_like", pooling_kind="max", data_kind="cifar10"))
+        x = np.random.default_rng(6).normal(size=(100, 3, 32, 32)).astype(np.float32)
+        conv1_out_bytes = len(x) * 64 * 32 * 32 * x.itemsize
+        tracemalloc.start()
+        try:
+            model.forward(x, train=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < conv1_out_bytes, (peak, conv1_out_bytes)
 
 
 class TestAuditParams:

@@ -239,6 +239,20 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="empty"):
             evaluate_model(model, np.zeros((0, 1, 16, 16), dtype=np.float32), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("images, labels", [(1, 2), (300, 250)])
+    def test_image_label_count_mismatch_rejected(self, images, labels):
+        model = build_model(tiny_config())
+        x = np.zeros((images, 1, 16, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match=f"{images} images but {labels} labels"):
+            evaluate_model(model, x, np.zeros(labels, dtype=int))
+
+    def test_empty_dataset_rejected_from_checkpoint(self, tmp_path):
+        cfg = tiny_config()
+        save_checkpoint(tmp_path / "m.ckpt", build_model(cfg), cfg)
+        with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+            evaluate_checkpoint(tmp_path / "m.ckpt", np.zeros((0, 1, 16, 16), dtype=np.float32),
+                                np.zeros(0, dtype=int))
+
     def test_class_count_mismatch_rejected(self, tmp_path):
         result = train(tiny_config(), tmp_path)
         bad_labels = np.array([0, 1, 7])
