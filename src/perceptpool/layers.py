@@ -16,12 +16,17 @@ Conventions shared by all layers:
   - every windowed layer (Conv2d, FixedPool and the perceptron layers of
     pooling.py) reads its windows through im2col and returns its input
     gradient through the adjoint col2im;
-  - Conv2d and FixedPool run one cache-sized batch block at a time: pad the
-    block, im2col it, then GEMM or reduce it straight into the BCHW output.
-    Only a training forward keeps columns (all blocks', for backward).
+  - Conv2d and FixedPool run one cache-sized batch block at a time: im2col
+    the block into one reused buffer, then GEMM or reduce it straight into
+    the BCHW output. Neither keeps columns: a training Conv2d keeps its
+    padded input and its backward rebuilds each block's columns from it;
+    max pooling keeps its input and output and finds each window's maximum
+    again by comparing the two.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,16 +60,30 @@ def _pair(v) -> tuple[int, int]:
 # reduction that reads its columns, are served from cache instead of sweeping
 # whole-batch arrays from memory.
 _BLOCK_BYTES = 1 << 20
-# Conv2d's blocks are larger: each is one GEMM call, a narrower GEMM runs
-# measurably slower per column, and a training forward writes each block's
-# columns into the saved array as rows of nb*oH*oW values.
+# Conv2d's blocks are larger: each is one GEMM call per direction, and a
+# narrower GEMM runs measurably slower per column.
 _GEMM_BLOCK_BYTES = 8 << 20
 
 
 def _blocks(n: int, nbytes: int, budget: int) -> list[slice]:
-    """Slices of range(n) of about `budget` bytes each, for n items of nbytes in all."""
+    """Slices of range(n) of about `budget` bytes each, for n items of nbytes
+    in all; one empty slice when n is 0, so an empty batch still runs once."""
     step = max(1, budget * n // max(nbytes, 1))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+
+
+def _window(x: np.ndarray, dy: int, dx: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """The (dy, dx) offset plane of x's oh x ow windows: a strided view."""
+    return x[..., dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
+
+
+def _scatter_target(shape, dtype, wh: int, ww: int, stride: int, oh: int, ow: int):
+    """(array, overlap) for writing window offset planes back onto an input
+    of `shape`: np.empty when the windows tile it exactly, else zeros, since
+    a gap or an overlap needs them; planes are assigned unless windows
+    overlap, when they must add."""
+    tiles = wh == ww == stride and tuple(shape[-2:]) == (oh * stride, ow * stride)
+    return (np.empty if tiles else np.zeros)(shape, dtype=dtype), stride < max(wh, ww)
 
 
 def im2col(x: np.ndarray, wh: int, ww: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -79,22 +98,25 @@ def im2col(x: np.ndarray, wh: int, ww: int, stride: int, out: np.ndarray | None 
     for blk in _blocks(len(x), x.nbytes, _BLOCK_BYTES):
         for dy in range(wh):
             for dx in range(ww):
-                cols[dy, dx, blk] = x[blk, ..., dy : dy + stride * oh : stride,
-                                      dx : dx + stride * ow : stride]
+                cols[dy, dx, blk] = _window(x[blk], dy, dx, stride, oh, ow)
     return cols
 
 
 def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
-    """Adjoint of im2col: add each offset plane of cols (wh, ww, N, ..., oH, oW)
-    back onto a zero array of the input `shape`; overlapping windows sum."""
+    """Adjoint of im2col: put each offset plane of cols (wh, ww, N, ..., oH, oW)
+    back in place in an array of the input `shape`; overlapping windows sum
+    and what no window covers is zero."""
     wh, ww = cols.shape[:2]
     oh, ow = cols.shape[-2:]
-    x = np.zeros(shape, dtype=cols.dtype)
+    x, overlap = _scatter_target(shape, cols.dtype, wh, ww, stride, oh, ow)
     for blk in _blocks(len(x), x.nbytes, _BLOCK_BYTES):
         for dy in range(wh):
             for dx in range(ww):
-                x[blk, ..., dy : dy + stride * oh : stride,
-                  dx : dx + stride * ow : stride] += cols[dy, dx, blk]
+                view = _window(x[blk], dy, dx, stride, oh, ow)
+                if overlap:
+                    view += cols[dy, dx, blk]
+                else:
+                    view[...] = cols[dy, dx, blk]
     return x
 
 
@@ -194,41 +216,52 @@ class Conv2d(Layer):
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = self._out_dims(h, w)
-        (kh, kw), p = self.kernel, self.pad
+        p = self.pad
+        # Pad and transpose the batch once, to channels before batch. This is
+        # all a training forward keeps: backward rebuilds each block's columns
+        # from it, which costs one im2col per block and saves the kh*kw-times
+        # larger column matrix.
+        xp = np.zeros((c, b, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
         wm = self._weight_matrix()
-        # Columns put channels before batch, so a block's columns are a
-        # row-strided (kh*kw*C, nb*oH*oW) matrix. Training keeps every block's
-        # columns for backward; eval reuses one block's.
-        blocks = _blocks(b, kh * kw * c * b * oh * ow * x.itemsize, _GEMM_BLOCK_BYTES)
-        cols = np.empty((kh, kw, c, b if train else blocks[0].stop, oh, ow), dtype=x.dtype)
         out = np.empty((b, self.out_channels, oh, ow), dtype=np.result_type(x, wm))
-        for blk in blocks:
-            nb = blk.stop - blk.start
-            xb = np.zeros((c, nb, h + 2 * p, w + 2 * p), dtype=x.dtype)
-            xb[:, :, p : p + h, p : p + w] = x[blk].transpose(1, 0, 2, 3)
-            cb = im2col(xb, kh, kw, self.stride, out=cols[:, :, :, blk if train else slice(nb)])
-            ob = wm @ cb.reshape(-1, nb * oh * ow)
+        for blk, cb in self._block_columns(xp, oh, ow):
+            ob = wm @ cb
             if self.bias is not None:
                 ob += self.bias[:, None]
-            out[blk] = ob.reshape(-1, nb, oh, ow).transpose(1, 0, 2, 3)
-        return out, (cols, x.shape)
+            out[blk] = ob.reshape(len(ob), blk.stop - blk.start, oh, ow).transpose(1, 0, 2, 3)
+            del ob  # before the next block's GEMM allocates its own
+        return out, xp
 
-    def _backward(self, grad_out, saved):
-        cols, (b, c, h, w) = saved
-        kh, kw, _, _, oh, ow = cols.shape
+    def _block_columns(self, xp, oh, ow):
+        """(batch block, its columns) for each block of the padded input xp
+        (C, B, H+2p, W+2p). The columns are a row-strided (kh*kw*C, nb*oH*oW)
+        matrix in one buffer that every block reuses."""
+        (kh, kw), (c, b) = self.kernel, xp.shape[:2]
+        blocks = _blocks(b, kh * kw * c * b * oh * ow * xp.itemsize, _GEMM_BLOCK_BYTES)
+        buf = np.empty((kh, kw, c, blocks[0].stop, oh, ow), dtype=xp.dtype)
+        for blk in blocks:
+            nb = blk.stop - blk.start
+            cb = im2col(xp[:, blk], kh, kw, self.stride, out=buf[:, :, :, :nb])
+            yield blk, cb.reshape(kh * kw * c, nb * oh * ow)
+
+    def _backward(self, grad_out, xp):
+        c, b, hp, wp = xp.shape
         o, p = self.out_channels, self.pad
+        kh, kw = self.kernel
+        oh, ow = grad_out.shape[2:]
         go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, b, oh * ow)
-        gw = (go.reshape(o, -1) @ cols.reshape(-1, b * oh * ow).T).reshape(o, kh, kw, c)
-        self.weights_grad += gw.transpose(0, 3, 1, 2)
         if self.bias is not None:
             self.bias_grad += go.reshape(o, -1).sum(axis=1)
+        gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
         wm_t = self._weight_matrix().T
-        gx = np.empty((b, c, h, w), dtype=np.result_type(wm_t, go))
-        for blk in _blocks(b, cols.nbytes, _GEMM_BLOCK_BYTES):
+        gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, go))
+        for blk, cb in self._block_columns(xp, oh, ow):
             nb = blk.stop - blk.start
-            gcols = (wm_t @ go[:, blk].reshape(o, -1)).reshape(kh, kw, c, nb, oh, ow)
-            gxb = col2im(gcols, (c, nb, h + 2 * p, w + 2 * p), self.stride)
-            gx[blk] = gxb[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+            gob = go[:, blk].reshape(o, -1)
+            gw += (gob @ cb.T).reshape(gw.shape)
+            gxb = col2im((wm_t @ gob).reshape(kh, kw, c, nb, oh, ow), (c, nb, hp, wp), self.stride)
+            gx[blk] = gxb[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
         return gx
 
 
@@ -250,43 +283,46 @@ class FixedPool(Layer):
         wh, ww = self.window
         # pool_out_dim raises unless the window tiles exactly.
         oh, ow = pool_out_dim(h, wh, self.stride), pool_out_dim(w, ww, self.stride)
-        # Max backward and kink_margin need every block's windows; otherwise
-        # the blocks reuse one block's.
-        keep = train and self.mode == "max"
         blocks = _blocks(b, wh * ww * b * c * oh * ow * x.itemsize, _BLOCK_BYTES)
-        cols = np.empty((wh, ww, b if keep else blocks[0].stop, c, oh, ow), dtype=x.dtype)
+        cols = np.empty((wh, ww, blocks[0].stop, c, oh, ow), dtype=x.dtype)
         out = np.empty((b, c, oh, ow), dtype=x.dtype)
         reduce = np.max if self.mode == "max" else np.mean
         for blk in blocks:
-            cb = im2col(x[blk], wh, ww, self.stride,
-                        out=cols[:, :, blk if keep else slice(blk.stop - blk.start)])
+            cb = im2col(x[blk], wh, ww, self.stride, out=cols[:, :, : blk.stop - blk.start])
             reduce(cb, axis=(0, 1), out=out[blk])
-        return out, (x.shape, cols if keep else None)
+        return out, ((x, out) if self.mode == "max" else x.shape)
 
     def _backward(self, grad_out, saved):
-        in_shape, cols = saved
         wh, ww = self.window
-        gx = np.empty(in_shape, dtype=grad_out.dtype)
+        s = self.stride
+        if self.mode == "average":
+            return col2im(np.broadcast_to(grad_out / (wh * ww), (wh, ww, *grad_out.shape)), saved, s)
+        x, out = saved
+        oh, ow = out.shape[-2:]
+        gx, overlap = _scatter_target(x.shape, grad_out.dtype, wh, ww, s, oh, ow)
         for blk in _blocks(len(gx), wh * ww * grad_out.nbytes, _BLOCK_BYTES):
-            g = grad_out[blk]
-            if self.mode == "max":
-                # One-hot on the first maximum in row-major window scan, so ties
-                # route the whole gradient to a single input.
-                first = cols[:, :, blk].reshape(wh * ww, *g.shape).argmax(axis=0)
-                grad_cols = (np.arange(wh * ww).reshape(wh, ww, 1, 1, 1, 1) == first) * g
-            else:
-                grad_cols = np.broadcast_to(g / (wh * ww), (wh, ww, *g.shape))
-            gx[blk] = col2im(grad_cols, (len(g), *in_shape[1:]), self.stride)
+            xb, ob, g, gxb = x[blk], out[blk], grad_out[blk], gx[blk]
+            # The gradient goes to the first maximum in row-major window scan,
+            # so ties route the whole gradient to a single input.
+            free = np.ones(g.shape, dtype=bool)  # no earlier offset took this window
+            for dy in range(wh):
+                for dx in range(ww):
+                    hit = _window(xb, dy, dx, s, oh, ow) == ob
+                    hit &= free
+                    free ^= hit
+                    view = _window(gxb, dy, dx, s, oh, ow)
+                    if overlap:
+                        view += hit * g
+                    else:
+                        np.multiply(hit, g, out=view)
         return gx
 
     def kink_margin(self):
-        cols = None if self._saved is None else self._saved[0][1]
-        if cols is None:
+        if self._saved is None or self.mode != "max" or self.window[0] * self.window[1] < 2:
             return None
-        flat = cols.reshape(-1, *cols.shape[2:])
-        if len(flat) < 2:
-            return None
-        top2 = np.partition(flat, -2, axis=0)[-2:]
+        x, _ = self._saved[0]
+        cols = im2col(x, *self.window, self.stride)
+        top2 = np.partition(cols.reshape(-1, *cols.shape[2:]), -2, axis=0)[-2:]
         return float(np.min(top2[1] - top2[0]))
 
 
@@ -381,7 +417,7 @@ class Flatten(Layer):
         self.name = name
 
     def _forward(self, x, train):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(len(x), math.prod(x.shape[1:])), x.shape
 
     def _backward(self, grad_out, in_shape):
         return grad_out.reshape(in_shape)

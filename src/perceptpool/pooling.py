@@ -187,7 +187,7 @@ def _chain_forward(layers, x, train):
     of the last layer's units), and, when training, each piece's saved state."""
     first = layers[0]
     units = im2col(x, *first.window, first.stride)
-    units = units.reshape(-1, *units.shape[2:])
+    units = units.reshape(first.window[0] * first.window[1], *units.shape[2:])
     saved = []
     for piece in _pieces(layers):
         units, state = _piece_forward(piece, units)

@@ -116,6 +116,57 @@ class TestBatchBlocks:
         _assert_close(pool.forward(x, train=False), out)
 
 
+def _array_bytes(saved):
+    """Bytes of every array in a layer's saved state, however it nests."""
+    if isinstance(saved, np.ndarray):
+        return saved.nbytes
+    if isinstance(saved, tuple):
+        return sum(_array_bytes(s) for s in saved)
+    return 0
+
+
+@pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 1), (3, 2, 1)])
+def test_conv2d_training_forward_keeps_only_its_padded_input(kernel, stride, pad):
+    """At most C*B*(H+2p)*(W+2p) values: the padded input, which backward
+    rebuilds each block's columns from, not the kernel*kernel-times larger
+    columns themselves."""
+    b, c, h, w = shape = (5, 8, 12, 12)
+    conv = Conv2d(c, 4, kernel, stride, pad, rng=np.random.default_rng(0))
+    conv.forward(np.random.default_rng(1).normal(size=shape).astype(np.float32), train=True)
+    assert _array_bytes(conv._saved[0]) <= c * b * (h + 2 * pad) * (w + 2 * pad) * 4
+
+
+def test_conv2d_float32_weight_gradient_over_blocks():
+    """The weight gradient is summed block by block; in float32, over a batch
+    of several blocks, it stays within 1e-5 of the float64 reference."""
+    rng = np.random.default_rng(53)
+    b, c, h, w = shape = (11, 16, 66, 66)
+    _assert_spans_blocks(b, 9 * c * h * w * 4, layers._GEMM_BLOCK_BYTES)
+    conv = Conv2d(c, 8, 3, 1, 1, rng=rng)
+    x = rng.normal(size=shape).astype(np.float32)
+    grad_out = rng.normal(size=(b, 8, h, w)).astype(np.float32)
+    _, (_, dw, _) = conv2d_reference(x.astype(np.float64), conv.weights.astype(np.float64),
+                                     conv.bias.astype(np.float64), 1, 1, grad_out.astype(np.float64))
+    conv.forward(x, train=True)
+    conv.backward(grad_out)
+    assert np.max(np.abs(conv.weights_grad - dw)) <= 1e-5 * np.max(np.abs(dw))
+
+
+@pytest.mark.parametrize("make, train, out_shape", [
+    (lambda: Conv2d(4, 5, 3, 1, 1), False, (0, 5, 6, 6)),
+    (lambda: Conv2d(4, 5, 3, 1, 1), True, (0, 5, 6, 6)),
+    (lambda: FixedPool("max", 2, 2), False, (0, 4, 3, 3)),
+    (lambda: FixedPool("average", 2, 2), True, (0, 4, 3, 3)),
+], ids=["conv2d-eval", "conv2d-train", "max-eval", "average-train"])
+def test_empty_batch_gives_empty_output(make, train, out_shape):
+    layer = make()
+    x = np.zeros((0, 4, 6, 6), dtype=np.float32)
+    out = layer.forward(x, train)
+    assert out.shape == out_shape
+    if train:
+        assert layer.backward(out).shape == x.shape
+
+
 @pytest.mark.parametrize("make, budget", [
     (lambda: Conv2d(64, 128, 3, 1, 1, rng=np.random.default_rng(0)), "_GEMM_BLOCK_BYTES"),
     (lambda: FixedPool("max", 2, 2), "_BLOCK_BYTES"),

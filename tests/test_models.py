@@ -302,6 +302,33 @@ class TestBuildModel:
             tracemalloc.stop()
         assert peaks[1] <= 1.01 * peaks[0], peaks
 
+    def test_training_step_holds_no_column_matrices(self):
+        """What a model_c_like training forward plus backward at batch 16
+        leaves allocated, the layers' saved state, stays below 20 MiB.
+        Measured (nn_16_1, float32): 29.4 MiB while Conv2d kept its im2col
+        columns, 16.5 MiB with Conv2d keeping its padded input."""
+        model = build_model(TrainConfig(model="model_c_like", pooling_kind="nn_16_1",
+                                        data_kind="cifar10"))
+        x = np.random.default_rng(4).normal(size=(16, 3, 32, 32)).astype(np.float32)
+        labels = np.arange(16) % 10
+        for _ in range(2):  # the second step: the first also allocates one-off state
+            tracemalloc.start()
+            try:
+                _, grad = softmax_xent(model.forward(x, train=True), labels)
+                model.zero_grad()
+                model.backward(grad)
+                del grad
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert held < 20 << 20, held
+
+    @pytest.mark.parametrize("model_name", ["model_a_like", "model_c_like"])
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_eval_forward_of_an_empty_batch(self, pooling, model_name):
+        model = build_model(TrainConfig(model=model_name, pooling_kind=pooling, data_kind="cifar10"))
+        assert model.forward(np.zeros((0, 3, 32, 32), np.float32), train=False).shape == (0, 10)
+
     def test_no_conv_bias_in_front_of_batchnorm(self):
         def conv_biases(model):
             return [g.name for g in build_model(TrainConfig(model=model, data_kind="cifar10"))
