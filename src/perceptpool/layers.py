@@ -20,8 +20,8 @@ Conventions shared by all layers:
     the block into one reused buffer, then GEMM or reduce it straight into
     the BCHW output. Neither keeps columns: a training Conv2d keeps its
     padded input and its backward rebuilds each block's columns from it;
-    max pooling keeps its input and output and finds each window's maximum
-    again by comparing the two.
+    max pooling keeps its input, and its backward rebuilds each block's
+    windows and their maxima from it.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ def _window(x: np.ndarray, dy: int, dx: int, stride: int, oh: int, ow: int) -> n
     return x[..., dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
 
 
-def _scatter_target(shape, dtype, wh: int, ww: int, stride: int, oh: int, ow: int):
-    """(array, overlap) for writing window offset planes back onto an input
-    of `shape`: np.empty when the windows tile it exactly, else zeros, since
-    a gap or an overlap needs them; planes are assigned unless windows
-    overlap, when they must add."""
-    tiles = wh == ww == stride and tuple(shape[-2:]) == (oh * stride, ow * stride)
-    return (np.empty if tiles else np.zeros)(shape, dtype=dtype), stride < max(wh, ww)
-
-
 def im2col(x: np.ndarray, wh: int, ww: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
     """Every exactly tiling wh x ww window of x (N, ..., H, W), as a
     (wh, ww, N, ..., oH, oW) array: one strided copy per window offset, so
@@ -108,15 +99,18 @@ def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
     and what no window covers is zero."""
     wh, ww = cols.shape[:2]
     oh, ow = cols.shape[-2:]
-    x, overlap = _scatter_target(shape, cols.dtype, wh, ww, stride, oh, ow)
+    # Windows that tile the input exactly each own their pixels, so their
+    # planes are assigned into an empty array; otherwise they add onto zeros.
+    tiles = wh == ww == stride and tuple(shape[-2:]) == (oh * stride, ow * stride)
+    x = (np.empty if tiles else np.zeros)(shape, dtype=cols.dtype)
     for blk in _blocks(len(x), x.nbytes, _BLOCK_BYTES):
         for dy in range(wh):
             for dx in range(ww):
                 view = _window(x[blk], dy, dx, stride, oh, ow)
-                if overlap:
-                    view += cols[dy, dx, blk]
-                else:
+                if tiles:
                     view[...] = cols[dy, dx, blk]
+                else:
+                    view += cols[dy, dx, blk]
     return x
 
 
@@ -290,38 +284,39 @@ class FixedPool(Layer):
         for blk in blocks:
             cb = im2col(x[blk], wh, ww, self.stride, out=cols[:, :, : blk.stop - blk.start])
             reduce(cb, axis=(0, 1), out=out[blk])
-        return out, ((x, out) if self.mode == "max" else x.shape)
+        return out, (x if self.mode == "max" else x.shape)
 
     def _backward(self, grad_out, saved):
         wh, ww = self.window
         s = self.stride
         if self.mode == "average":
             return col2im(np.broadcast_to(grad_out / (wh * ww), (wh, ww, *grad_out.shape)), saved, s)
-        x, out = saved
-        oh, ow = out.shape[-2:]
-        gx, overlap = _scatter_target(x.shape, grad_out.dtype, wh, ww, s, oh, ow)
-        for blk in _blocks(len(gx), wh * ww * grad_out.nbytes, _BLOCK_BYTES):
-            xb, ob, g, gxb = x[blk], out[blk], grad_out[blk], gx[blk]
-            # The gradient goes to the first maximum in row-major window scan,
-            # so ties route the whole gradient to a single input.
+        x = saved
+        blocks = _blocks(len(x), wh * ww * grad_out.nbytes, _BLOCK_BYTES)
+        cols = np.empty((wh, ww, blocks[0].stop, *grad_out.shape[1:]), dtype=grad_out.dtype)
+        gx = np.empty(x.shape, dtype=grad_out.dtype)
+        for blk in blocks:
+            g = grad_out[blk]
+            # Rebuild the block's windows and their maxima, then turn each
+            # offset plane into its share of the gradient in place. The
+            # gradient goes to the first maximum in row-major window scan, so
+            # ties route the whole gradient to a single input.
+            cb = im2col(x[blk], wh, ww, s, out=cols[:, :, : len(g)])
+            top = cb.max(axis=(0, 1))
             free = np.ones(g.shape, dtype=bool)  # no earlier offset took this window
             for dy in range(wh):
                 for dx in range(ww):
-                    hit = _window(xb, dy, dx, s, oh, ow) == ob
+                    hit = cb[dy, dx] == top
                     hit &= free
                     free ^= hit
-                    view = _window(gxb, dy, dx, s, oh, ow)
-                    if overlap:
-                        view += hit * g
-                    else:
-                        np.multiply(hit, g, out=view)
+                    np.multiply(hit, g, out=cb[dy, dx])
+            gx[blk] = col2im(cb, (len(g), *x.shape[1:]), s)
         return gx
 
     def kink_margin(self):
         if self._saved is None or self.mode != "max" or self.window[0] * self.window[1] < 2:
             return None
-        x, _ = self._saved[0]
-        cols = im2col(x, *self.window, self.stride)
+        cols = im2col(self._saved[0], *self.window, self.stride)
         top2 = np.partition(cols.reshape(-1, *cols.shape[2:]), -2, axis=0)[-2:]
         return float(np.min(top2[1] - top2[0]))
 
