@@ -59,7 +59,7 @@ INITS = ("average", "pattern", "glorot")
 OPTIMIZERS = {"sgd": ("lr", "momentum", "weight_decay"),
               "adam": ("lr", "beta1", "beta2", "weight_decay")}
 DATA_KINDS = {"synth": ("synth_train", "synth_val", "classes"),
-              "cifar10": ("root", "augment", "train_size", "val_size", "classes")}
+              "cifar10": ("root", "augment", "train_size", "val_size")}
 # Retired keys and the one value every older echo carries.
 RETIRED = {"pooling.sharing": "global", "upsample.kind": "", "upsample.units": "4"}
 
@@ -97,13 +97,15 @@ class TrainConfig:
     data_val_size: int = 0
     data_synth_train: int = 512
     data_synth_val: int = 256
-    data_classes: int = 0  # 0 = dataset default
+    data_classes: int = 0  # synth only; 0 = 2 classes
 
     batch_size: int = 50
     batch_balanced: bool = True
 
     def __post_init__(self):
-        units = self.pooling_units
+        units, classes = self.pooling_units, self.num_classes
+        self.schedule_epochs = tuple(int(e) for e in self.schedule_epochs)
+        chain = (-1, *self.schedule_epochs, self.epochs)  # each decay epoch in [0, epochs)
         for key, ok, rule in (
                 ("model", self.model in MODELS, f"one of {MODELS}"),
                 ("epochs", self.epochs >= 1, ">= 1"),
@@ -116,10 +118,22 @@ class TrainConfig:
                 ("pooling.activation", self.pooling_activation in ACTIVATIONS, f"one of {ACTIVATIONS}"),
                 ("pooling.init", self.pooling_init in INITS, f"one of {INITS}"),
                 ("optimizer.kind", self.optimizer_kind in OPTIMIZERS, f"one of {tuple(OPTIMIZERS)}"),
+                ("optimizer.lr", self.optimizer_lr > 0, "> 0"),
+                ("optimizer.weight_decay", self.optimizer_weight_decay >= 0, ">= 0"),
+                ("optimizer.momentum", 0 <= self.optimizer_momentum < 1, "in [0, 1)"),
                 # Adam divides by 1 - beta**t.
                 ("optimizer.beta1", 0 <= self.optimizer_beta1 < 1, "in [0, 1)"),
                 ("optimizer.beta2", 0 <= self.optimizer_beta2 < 1, "in [0, 1)"),
-                ("data.kind", self.data_kind in DATA_KINDS, f"one of {tuple(DATA_KINDS)}")):
+                ("schedule.factor", 0 < self.schedule_factor <= 1, "in (0, 1]"),
+                ("schedule.epochs", all(a < b for a, b in zip(chain, chain[1:])),
+                 f"strictly increasing, each in [0, epochs = {self.epochs})"),
+                ("data.kind", self.data_kind in DATA_KINDS, f"one of {tuple(DATA_KINDS)}"),
+                # synth_dataset draws 2..4 blob classes; cifar10 reads no data.classes.
+                ("data.classes", self.data_kind != "synth" or self.data_classes in (0, 2, 3, 4),
+                 "0 or in 2..4"),
+                ("batch.size", self.batch_size >= 1, ">= 1"),
+                ("batch.size", not self.batch_balanced or self.batch_size % classes == 0,
+                 f"a multiple of the {classes} classes when batch.balanced is set")):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key.replace('.', '_'))!r}")
         entry = POOLING_KINDS[self.pooling_kind]
@@ -131,13 +145,10 @@ class TrainConfig:
             if section in reads and key not in ("kind", *reads[section]) and value != f.default:
                 raise ValueError(f"{section}.{key} = {value!r} is not read by "
                                  f"{section}.kind = {getattr(self, section + '_kind')}; remove it")
-        self.schedule_epochs = tuple(int(e) for e in self.schedule_epochs)
 
     @property
     def num_classes(self) -> int:
-        if self.data_classes:
-            return self.data_classes
-        return 2 if self.data_kind == "synth" else 10
+        return (self.data_classes or 2) if self.data_kind == "synth" else 10
 
     def to_text(self) -> str:
         lines = []

@@ -2,11 +2,12 @@
 
 Standard layers use Glorot-uniform. Pooling perceptrons additionally
 support two schemes: "average" starts every perceptron exactly at average
-pooling (weights 1/(W*H), bias 0), and "pattern" draws random magnitudes
-whose signs follow one of four structured layouts (all one sign, negative
+pooling (weights 1/(W*H)), and "pattern" draws random magnitudes whose
+signs follow one of four structured layouts (all one sign, negative
 diagonal, or a single sign transition along the x or y axis). Layers with
 several perceptrons get rotated/mirrored copies of a base pattern so no
-two units start identical while distinct transforms remain.
+two units start identical while distinct transforms remain. Every scheme
+writes weights only: `PerceptronPool.bind` allocates the bias at zero.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-PATTERN_CLASSES = ("all_same", "diagonal", "x_split", "y_split")
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=np.float64):
@@ -34,11 +33,7 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
 @dataclass(frozen=True)
 class SignPattern:
     signs: np.ndarray  # (window_h, window_w) of +-1
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in PATTERN_CLASSES:
-            raise ValueError(f"unknown pattern class {self.kind!r}")
+    kind: str  # all_same | diagonal | x_split | y_split
 
 
 def random_sign_pattern(rng: np.random.Generator, window_h: int, window_w: int) -> SignPattern:
@@ -56,8 +51,7 @@ def random_sign_pattern(rng: np.random.Generator, window_h: int, window_w: int) 
     sign = 1 if rng.integers(2) == 0 else -1
     grid = np.full((window_h, window_w), sign, dtype=np.int8)
     if kind == "diagonal":
-        for i in range(min(window_h, window_w)):
-            grid[i, i] = -sign
+        np.fill_diagonal(grid, -sign)
     elif kind == "x_split":
         t = int(rng.integers(1, window_w))
         grid[:, t:] = -sign
@@ -70,26 +64,16 @@ def random_sign_pattern(rng: np.random.Generator, window_h: int, window_w: int) 
 def classify_sign_pattern(grid: np.ndarray) -> str | None:
     """Return the class a sign grid belongs to, or None if unstructured."""
     g = np.asarray(grid)
-    h, w = g.shape
-    if np.all(g == g.flat[0]):
-        return "all_same"
-    cols_const = np.all(g == g[0:1, :])
-    if cols_const:
-        changes = int(np.sum(g[0, 1:] != g[0, :-1]))
-        if changes == 1:
-            return "x_split"
-    rows_const = np.all(g == g[:, 0:1])
-    if rows_const:
-        changes = int(np.sum(g[1:, 0] != g[:-1, 0]))
-        if changes == 1:
-            return "y_split"
-    for cand in (g, np.fliplr(g)):
-        diag = np.full((h, w), cand[0, -1] if w > 1 else cand[0, 0], dtype=np.int8)
-        for i in range(min(h, w)):
-            diag[i, i] = -diag[i, i]
-        if np.array_equal(cand, diag) or np.array_equal(cand, -diag):
-            return "diagonal"
-    return None
+    diagonal = np.eye(*g.shape, dtype=bool)
+    rules = {
+        "all_same": np.all(g == g[0, 0]),
+        "x_split": np.all(g == g[0]) and np.count_nonzero(np.diff(g[0])) == 1,
+        "y_split": np.all(g == g[:, :1]) and np.count_nonzero(np.diff(g[:, 0])) == 1,
+        # one sign off the main diagonal (or its mirror), the other on it
+        "diagonal": any(np.array_equal(c, np.where(diagonal, -c[0, -1], c[0, -1]))
+                        for c in (g, np.fliplr(g))),
+    }
+    return next((kind for kind, ok in rules.items() if ok), None)
 
 
 def pattern_orbit(grid: np.ndarray) -> list[np.ndarray]:
@@ -101,13 +85,8 @@ def pattern_orbit(grid: np.ndarray) -> list[np.ndarray]:
         candidates += [np.rot90(np.fliplr(grid), k) for k in range(4)]
     else:
         candidates = [grid, grid[::-1, ::-1], np.fliplr(grid), np.flipud(grid)]
-    out, seen = [], set()
-    for c in candidates:
-        key = np.ascontiguousarray(c).tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(np.ascontiguousarray(c))
-    return out
+    keys = [c.tobytes() for c in candidates]
+    return [c for i, c in enumerate(candidates) if keys[i] not in keys[:i]]
 
 
 def _pattern_magnitudes(rng, window_h, window_w):
@@ -120,68 +99,44 @@ def _pattern_magnitudes(rng, window_h, window_w):
 # Pooling-perceptron initializers (duck-typed on bound pooling layers)
 # ---------------------------------------------------------------------------
 
-def average_init(layer) -> None:
-    """Every weight 1/(W*H), bias 0: forward starts as exact average pooling."""
-    wh, ww = layer.window
-    layer.weights[...] = 1.0 / (wh * ww)
-    if layer.bias is not None:
-        layer.bias[...] = 0.0
-
-
 def pattern_init_multi(layer, rng: np.random.Generator) -> None:
     """Sign-pattern init for the perceptrons of one layer.
 
     A base pattern's rotations/mirrors are handed to successive units; when
     the (at most 8) distinct transforms run out a fresh base pattern is
-    drawn. Repeats are only allowed once the window admits no unused grid.
-    A single unit gets its base pattern as drawn.
+    drawn. Repeats are only allowed once 64 draws in a row bring no unused
+    grid. A single unit gets its base pattern as drawn.
     """
     wh, ww = layer.window
-    for u in range(layer.weights.shape[0]):
-        seen: set[bytes] = set()
-        assigned: list[np.ndarray] = []
-        filled = 0
-        stale = 0
-        while filled < layer.units and stale < 64:
-            base = random_sign_pattern(rng, wh, ww)
-            fresh = [g for g in pattern_orbit(base.signs) if g.tobytes() not in seen]
-            if not fresh:
-                stale += 1
-                continue
-            stale = 0
-            for grid in fresh:
-                if filled >= layer.units:
-                    break
-                seen.add(grid.tobytes())
-                assigned.append(grid)
-                layer.weights[u, filled] = grid * _pattern_magnitudes(rng, wh, ww)
-                filled += 1
-        # Small windows exhaust the reachable sign grids; repeats are then
-        # unavoidable and cycle the distinct grids with fresh magnitudes.
-        i = 0
-        while filled < layer.units:
-            layer.weights[u, filled] = assigned[i % len(assigned)] * _pattern_magnitudes(rng, wh, ww)
-            filled += 1
-            i += 1
-    if layer.bias is not None:
-        layer.bias[...] = 0.0
+    for weights in layer.weights:
+        placed, stale = [], 0
+        while len(placed) < layer.units:
+            if stale < 64:
+                orbit = pattern_orbit(random_sign_pattern(rng, wh, ww).signs)
+                new = [g for g in orbit if not any(np.array_equal(g, p) for p in placed)]
+                stale = 0 if new else stale + 1
+            else:
+                # Small windows exhaust the reachable sign grids; repeats are then
+                # unavoidable and cycle the distinct grids with fresh magnitudes.
+                new = placed
+            for grid in new[: layer.units - len(placed)]:
+                weights[len(placed)] = grid * _pattern_magnitudes(rng, wh, ww)
+                placed.append(grid)
 
 
 def apply_pool_init(layer, scheme: str, rng: np.random.Generator | None) -> None:
     """Dispatch on the config key init = glorot | average | pattern."""
+    wh, ww = layer.window
     if scheme == "average":
-        average_init(layer)
-        return
-    if rng is None:
+        # Forward starts as exact average pooling.
+        layer.weights[...] = 1.0 / (wh * ww)
+    elif rng is None:
         raise ValueError(f"init scheme {scheme!r} needs an rng")
-    if scheme == "pattern":
+    elif scheme == "pattern":
         pattern_init_multi(layer, rng)
     elif scheme == "glorot":
-        wh, ww = layer.window
         layer.weights[...] = glorot_uniform(
             rng, layer.weights.shape, fan_in=wh * ww, fan_out=1, dtype=layer.weights.dtype
         )
-        if layer.bias is not None:
-            layer.bias[...] = 0.0
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")

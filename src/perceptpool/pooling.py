@@ -283,7 +283,8 @@ class PerceptronPool(Layer):
 
     def param_groups(self):
         if self.weights is None:
-            return []
+            raise RuntimeError(f"{self.name}: not bound to an input shape yet, so it has no "
+                               "parameters; call bind() or forward() first")
         return _weight_bias_groups(self, self.lr_factor, self.wd_factor)
 
     def _out_positions(self, height, width):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,21 @@ class TestPatternInit:
         for w in layer.weights[:, 0]:
             signs = init.random_sign_pattern(rng, 2, 3).signs
             assert np.array_equal(w, signs * init._pattern_magnitudes(rng, 2, 3))
+
+    @pytest.mark.parametrize("kw, shape, digest", [
+        # 2x2 admits 8 grids: exhausts them, runs the 64 stale draws, then cycles
+        (dict(window=2, stride=2, units=16), (1, 8, 8),
+         "a7d82bf74b3298d5e27977d945a2bbdb82c487cf416db9f7d6f9ed07874cce3f"),
+        (dict(window=3, stride=3, units=4), (1, 9, 9),
+         "59c233a4d9de25a0064a1d62b8a79aa48fb40b8c22bcbdb679b4aab2f46452bb"),
+        (dict(window=(2, 3), stride=1, units=9, sharing="per_channel"), (3, 6, 6),
+         "6033357470917d817039c96dbc9719487dfdf6390b3a1c2132e445f9e068165e"),
+    ], ids=["16-units-2x2", "4-units-3x3", "9-units-2x3-per-channel"])
+    def test_multi_unit_draws_pinned(self, kw, shape, digest):
+        # sha256 of the float64 weights: any change to the draw order shows here
+        layer = PerceptronPool(**kw, dtype=np.float64, init="pattern", rng=np.random.default_rng(5))
+        layer.bind(*shape)
+        assert hashlib.sha256(layer.weights.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_output_magnitude_bounded_on_unit_input(self):
         # |sum of weights| <= window * max magnitude = W*H * 2/(W*H) = 2

@@ -31,7 +31,7 @@ SECTION_KINDS = {"optimizer": OPTIMIZERS, "data": DATA_KINDS}
 NON_DEFAULT_SECTION = {
     "optimizer": {"lr": 0.5, "momentum": 0.5, "beta1": 0.5, "beta2": 0.5, "weight_decay": 0.01},
     "data": {"root": "data/cifar", "augment": "true", "train_size": 100, "val_size": 100,
-             "synth_train": 100, "synth_val": 100, "classes": 4},
+             "synth_train": 100, "synth_val": 100, "classes": 2},
 }
 NON_DEFAULT_RETIRED = {"pooling.sharing": "per_field", "upsample.kind": "nn_up",
                        "upsample.units": "16"}
@@ -106,10 +106,50 @@ class TestConfig:
         ("optimizer.kind = sgd\noptimizer.beta2 = 1.5\n",
          "optimizer.beta2 must be in [0, 1), got 1.5"),
         ("pooling.units = 2\n", "pooling.units must be a perfect square, got 2"),
-    ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "pooling-message-unchanged"])
+        ("optimizer.lr = -1\n", "optimizer.lr must be > 0, got -1.0"),
+        ("optimizer.lr = 0\n", "optimizer.lr must be > 0, got 0.0"),
+        ("optimizer.weight_decay = -1\n", "optimizer.weight_decay must be >= 0, got -1.0"),
+        ("optimizer.kind = sgd\noptimizer.momentum = 2\n",
+         "optimizer.momentum must be in [0, 1), got 2.0"),
+        ("optimizer.kind = sgd\noptimizer.momentum = 1\n",
+         "optimizer.momentum must be in [0, 1), got 1.0"),
+        ("schedule.factor = 0\n", "schedule.factor must be in (0, 1], got 0.0"),
+        ("schedule.factor = 2\n", "schedule.factor must be in (0, 1], got 2.0"),
+        ("schedule.epochs = -1\n", "schedule.epochs must be strictly increasing, each in "
+                                   "[0, epochs = 20), got (-1,)"),
+        ("schedule.epochs = 5,3\n", "schedule.epochs must be strictly increasing, each in "
+                                    "[0, epochs = 20), got (5, 3)"),
+        ("schedule.epochs = 3,3\n", "schedule.epochs must be strictly increasing, each in "
+                                    "[0, epochs = 20), got (3, 3)"),
+        ("epochs = 5\nschedule.epochs = 2,5\n", "schedule.epochs must be strictly increasing, "
+                                                "each in [0, epochs = 5), got (2, 5)"),
+        ("batch.size = 0\n", "batch.size must be >= 1, got 0"),
+        ("batch.balanced = false\nbatch.size = -2\n", "batch.size must be >= 1, got -2"),
+        ("batch.size = 7\n", "batch.size must be a multiple of the 2 classes when "
+                             "batch.balanced is set, got 7"),
+        ("data.kind = cifar10\nbatch.size = 25\n", "batch.size must be a multiple of the 10 "
+                                                   "classes when batch.balanced is set, got 25"),
+        ("data.classes = 7\n", "data.classes must be 0 or in 2..4, got 7"),
+        ("data.classes = 1\n", "data.classes must be 0 or in 2..4, got 1"),
+    ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "pooling-message-unchanged",
+            "lr<0", "lr=0", "wd<0", "momentum>1", "momentum=1", "factor=0", "factor>1",
+            "decay<0", "decay-decreasing", "decay-repeated", "decay=epochs", "batch=0",
+            "unbalanced-batch<0", "batch-not-multiple", "cifar-batch-not-multiple",
+            "classes>4", "classes=1"])
     def test_out_of_range_value_names_full_key(self, text, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "optimizer.kind = sgd\noptimizer.lr = 1e12\noptimizer.momentum = 0\n",
+        "batch.size = 10\n",
+        "batch.balanced = false\nbatch.size = 7\n",
+        "data.classes = 3\nbatch.size = 48\n",
+        "epochs = 5\nschedule.epochs = 0,4\nschedule.factor = 1\n",
+    ], ids=["huge-lr", "small-batch", "unbalanced-odd-batch", "three-classes", "decay-bounds"])
+    def test_edge_values_training_honours_accepted(self, text):
+        cfg = parse_config(text)
+        assert parse_config(cfg.to_text()) == cfg
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):

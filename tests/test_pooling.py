@@ -239,6 +239,17 @@ class TestProperties:
         with pytest.raises(ValueError):
             pool.forward(np.zeros((1, 2, 8, 8)))
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: PerceptronPool(2, 2, name="pool1"), "pool1"),
+        (lambda: MlpPoolStack([PerceptronPool(2, 2, units=4), PerceptronPool(2, 2)], name="slot"),
+         "slot.0"),
+    ], ids=["layer", "stack"])
+    def test_unbound_param_groups_rejected(self, make, name):
+        # an optimizer built on an unbound layer would get no groups and never move it
+        layer = make()
+        with pytest.raises(RuntimeError, match=f"^{name}: not bound to an input shape yet"):
+            layer.param_groups()
+
     def test_global_accepts_any_fitting_shape(self):
         pool = PerceptronPool(2, 2, dtype=np.float64)
         pool.forward(np.zeros((1, 2, 6, 6)))
