@@ -106,6 +106,13 @@ class TrainConfig:
         units, classes = self.pooling_units, self.num_classes
         self.schedule_epochs = tuple(int(e) for e in self.schedule_epochs)
         chain = (-1, *self.schedule_epochs, self.epochs)  # each decay epoch in [0, epochs)
+        synth, cifar = self.data_kind == "synth", self.data_kind == "cifar10"
+
+        def subset_ok(n):  # train.prepare_data draws balanced cifar10 subsets; 0 is the full split
+            return not cifar or (n >= 0 and n % classes == 0)
+
+        train_key, train_n = (("data.synth_train", self.data_synth_train) if synth
+                              else ("data.train_size", self.data_train_size))
         for key, ok, rule in (
                 ("model", self.model in MODELS, f"one of {MODELS}"),
                 ("epochs", self.epochs >= 1, ">= 1"),
@@ -129,11 +136,18 @@ class TrainConfig:
                  f"strictly increasing, each in [0, epochs = {self.epochs})"),
                 ("data.kind", self.data_kind in DATA_KINDS, f"one of {tuple(DATA_KINDS)}"),
                 # synth_dataset draws 2..4 blob classes; cifar10 reads no data.classes.
-                ("data.classes", self.data_kind != "synth" or self.data_classes in (0, 2, 3, 4),
-                 "0 or in 2..4"),
+                ("data.classes", not synth or self.data_classes in (0, 2, 3, 4), "0 or in 2..4"),
+                ("data.synth_train", not synth or self.data_synth_train >= 1, ">= 1"),
+                ("data.synth_val", not synth or self.data_synth_val >= 1, ">= 1"),
+                ("data.train_size", subset_ok(self.data_train_size),
+                 f">= 0 and a multiple of the {classes} classes"),
+                ("data.val_size", subset_ok(self.data_val_size),
+                 f">= 0 and a multiple of the {classes} classes"),
                 ("batch.size", self.batch_size >= 1, ">= 1"),
                 ("batch.size", not self.batch_balanced or self.batch_size % classes == 0,
-                 f"a multiple of the {classes} classes when batch.balanced is set")):
+                 f"a multiple of the {classes} classes when batch.balanced is set"),
+                ("batch.size", not train_n or self.batch_size <= train_n,
+                 f"<= {train_key} = {train_n}")):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key.replace('.', '_'))!r}")
         entry = POOLING_KINDS[self.pooling_kind]

@@ -112,7 +112,8 @@ def pattern_init_multi(layer, rng: np.random.Generator) -> None:
         placed, stale = [], 0
         while len(placed) < layer.units:
             if stale < 64:
-                orbit = pattern_orbit(random_sign_pattern(rng, wh, ww).signs)
+                drawn = random_sign_pattern(rng, wh, ww).signs
+                orbit = [drawn] if layer.units == 1 else pattern_orbit(drawn)  # drawn is its first
                 new = [g for g in orbit if not any(np.array_equal(g, p) for p in placed)]
                 stale = 0 if new else stale + 1
             else:

@@ -32,7 +32,9 @@ Instance counts for the non-GLOBAL modes depend on the input shape and are
 bound at first forward (or an explicit bind); changing the relevant shape
 afterwards is an error.
 
-All three run one chain engine (_chain_forward/_chain_backward): the first
+All three are one Layer, a chain of perceptron layers (_Chain): a
+PerceptronPool is a chain of itself, a PerceptronUpsample one that pads
+its input first, an MlpPoolStack one of its aligned layers. The first
 layer's windows are copied out once by layers.im2col, the chain runs as
 affine pieces on unit outputs, each one einsum per direction (the sharing
 mode only changes the weight subscripts), and depth-to-space restructures
@@ -181,34 +183,64 @@ def _piece_backward(layers, grad, cols, maps, pre):
     return grad_cols
 
 
-def _chain_forward(layers, x, train):
-    """Output of perceptron layers chained on unit outputs (im2col for the
-    first layer, each affine piece on the previous one's units, depth-to-space
-    of the last layer's units), and, when training, each piece's saved state."""
-    first = layers[0]
-    units = im2col(x, *first.window, first.stride)
-    units = units.reshape(first.window[0] * first.window[1], *units.shape[2:])
-    saved = []
-    for piece in _pieces(layers):
-        units, state = _piece_forward(piece, units)
-        if train:
-            saved.append(state)
-    return restructure(np.moveaxis(units, 0, 2), layers[-1].block), saved
+class _Chain(Layer):
+    """Perceptron layers chained on unit outputs (`self.layers`) as one Layer."""
+
+    _pads = ((0, 0), (0, 0))  # zero padding (top, bottom), (left, right) of the input
+
+    def _padded(self, shape):
+        b, c, h, w = shape
+        (pt, pb), (pl, pr) = self._pads
+        return b, c, h + pt + pb, w + pl + pr
+
+    def bind(self, channels: int, height: int, width: int) -> None:
+        """Allocate and initialize every layer's weights for an input shape."""
+        shape = self._padded((1, channels, height, width))
+        for layer in self.layers:
+            layer._bind(*shape[1:])
+            shape = layer._grid(shape)
+
+    def output_shape(self, in_shape):
+        shape = self._padded(in_shape)
+        for layer in self.layers:
+            shape = layer._grid(shape)
+        return shape
+
+    def param_groups(self):
+        return [g for layer in self.layers for g in layer._groups()]
+
+    def _forward(self, x, train):
+        self.bind(*x.shape[1:])
+        if self._pads != _Chain._pads:  # np.pad copies even with zero widths
+            x = np.pad(x, ((0, 0), (0, 0), *self._pads))
+        first = self.layers[0]
+        units = im2col(x, *first.window, first.stride)
+        units = units.reshape(first.window[0] * first.window[1], *units.shape[2:])
+        saved = []
+        for piece in _pieces(self.layers):
+            units, state = _piece_forward(piece, units)
+            if train:
+                saved.append(state)
+        return restructure(np.moveaxis(units, 0, 2), self.layers[-1].block), saved
+
+    def _backward(self, grad_out, saved):
+        grad = np.moveaxis(unrestructure(grad_out, self.layers[-1].block), 2, 0)
+        for piece, state in zip(reversed(_pieces(self.layers)), reversed(saved)):
+            grad = _piece_backward(piece, grad, *state)
+        (wh, ww), s = self.layers[0].window, self.layers[0].stride
+        _, b, c, oh, ow = grad.shape
+        gx = col2im(grad.reshape(wh, ww, b, c, oh, ow), (b, c, (oh - 1) * s + wh, (ow - 1) * s + ww), s)
+        (pt, pb), (pl, pr) = self._pads
+        return gx[:, :, pt : gx.shape[2] - pb, pl : gx.shape[3] - pr]
+
+    def kink_margin(self):
+        """Smallest |pre-activation| of the chain's ReLU units in the last
+        training forward; None for an identity chain, which has no kink."""
+        pres = [] if self._saved is None else [p for *_, p in self._saved[0] if p is not None]
+        return min(float(np.min(np.abs(p))) for p in pres) if pres else None
 
 
-def _chain_backward(layers, grad_out, saved):
-    """Adjoint of _chain_forward: accumulate every layer's parameter
-    gradients and return the gradient of the chain's input."""
-    grad = np.moveaxis(unrestructure(grad_out, layers[-1].block), 2, 0)
-    for piece, state in zip(reversed(_pieces(layers)), reversed(saved)):
-        grad = _piece_backward(piece, grad, *state)
-    (wh, ww), s = layers[0].window, layers[0].stride
-    _, b, c, oh, ow = grad.shape
-    return col2im(grad.reshape(wh, ww, b, c, oh, ow),
-                  (b, c, (oh - 1) * s + wh, (ow - 1) * s + ww), s)
-
-
-class PerceptronPool(Layer):
+class PerceptronPool(_Chain):
     """Perceptron(s) as a pooling operator.
 
     With units == 1 this is plain perceptron pooling: output spatial size is
@@ -249,7 +281,11 @@ class PerceptronPool(Layer):
         self.bias_grad = None
         self._bound_key = None  # frozen (C, oH, oW) slice relevant to the mode
 
-    # -- instantiation -----------------------------------------------------
+    @property
+    def layers(self):
+        # Built per call: storing (self,) would be a reference cycle, and a
+        # dropped model's saved state would wait for the cyclic collector.
+        return (self,)
 
     @property
     def instances(self) -> int:
@@ -259,12 +295,12 @@ class PerceptronPool(Layer):
             raise RuntimeError(f"{self.name}: {self.sharing.value} layer is not bound to an input shape yet")
         return self.weights.shape[0]
 
-    def bind(self, channels: int, height: int, width: int) -> None:
-        """Allocate and initialize per-instance weights for an input shape."""
-        oh, ow = self._out_positions(height, width)
+    # -- one layer of a chain ----------------------------------------------
+
+    def _bind(self, channels, height, width):
+        oh, ow = self._positions(height, width)
         dims = {"c": channels, "i": oh, "j": ow}
-        sub = _WEIGHT_SUBSCRIPTS[self.sharing]
-        key = tuple(dims[label] for label in sub[:-2])
+        key = tuple(dims[label] for label in _WEIGHT_SUBSCRIPTS[self.sharing][:-2])
         if self.weights is not None:
             if key != self._bound_key:
                 raise ValueError(
@@ -281,36 +317,23 @@ class PerceptronPool(Layer):
         self._bound_key = key
         initializers.apply_pool_init(self, self.init, self._rng)
 
-    def param_groups(self):
-        if self.weights is None:
-            raise RuntimeError(f"{self.name}: not bound to an input shape yet, so it has no "
-                               "parameters; call bind() or forward() first")
-        return _weight_bias_groups(self, self.lr_factor, self.wd_factor)
-
-    def _out_positions(self, height, width):
+    def _positions(self, height, width):
         wh, ww = self.window
         try:
             return pool_out_dim(height, wh, self.stride), pool_out_dim(width, ww, self.stride)
         except ValueError as e:
             raise ValueError(f"{self.name}: {e}") from None
 
-    def output_shape(self, in_shape):
-        b, c, h, w = in_shape
-        oh, ow = self._out_positions(h, w)
-        return (b, c, oh * self.block, ow * self.block)
+    def _grid(self, shape):
+        b, c, h, w = shape
+        oh, ow = self._positions(h, w)
+        return b, c, oh * self.block, ow * self.block
 
-    def _forward(self, x, train):
-        self.bind(*x.shape[1:])
-        return _chain_forward([self], x, train)
-
-    def _backward(self, grad_out, saved):
-        return _chain_backward([self], grad_out, saved)
-
-    def kink_margin(self):
-        """Smallest |pre-activation| of the chain's ReLU units in the last
-        training forward; None for an identity chain, which has no kink."""
-        pres = [] if self._saved is None else [p for *_, p in self._saved[0] if p is not None]
-        return min(float(np.min(np.abs(p))) for p in pres) if pres else None
+    def _groups(self):
+        if self.weights is None:
+            raise RuntimeError(f"{self.name}: not bound to an input shape yet, so it has no "
+                               "parameters; call bind() or forward() first")
+        return _weight_bias_groups(self, self.lr_factor, self.wd_factor)
 
 
 class PerceptronUpsample(PerceptronPool):
@@ -329,20 +352,8 @@ class PerceptronUpsample(PerceptronPool):
         wh, ww = self.window
         self._pads = ((wh // 2, (wh - 1) // 2), (ww // 2, (ww - 1) // 2))
 
-    def _out_positions(self, height, width):
-        return height, width
 
-    def _forward(self, x, train):
-        self.bind(*x.shape[1:])
-        return _chain_forward([self], np.pad(x, ((0, 0), (0, 0), *self._pads)), train)
-
-    def _backward(self, grad_out, saved):
-        gxp = _chain_backward([self], grad_out, saved)
-        (pt, pb), (pl, pr) = self._pads
-        return gxp[:, :, pt : gxp.shape[2] - pb, pl : gxp.shape[3] - pr]
-
-
-class MlpPoolStack(Layer):
+class MlpPoolStack(_Chain):
     """Ordered perceptron pooling layers, each reading the previous layer's
     restructured output, e.g. NN-4-1 = [4 units of 2x2/2, 1 unit of 2x2/2].
 
@@ -368,40 +379,10 @@ class MlpPoolStack(Layer):
                                  f"{q}x{q}/{q} unit blocks and {prev.sharing.value} sharing "
                                  f"of layer {i - 1}")
 
-    def bind(self, channels, height, width):
-        shape = (1, channels, height, width)
-        for i, layer in enumerate(self.layers):
-            try:
-                layer.bind(shape[1], shape[2], shape[3])
-                shape = layer.output_shape(shape)
-            except ValueError as e:
-                raise ValueError(f"{self.name}: shape chain broken at layer {i}: {e}") from None
-
-    def output_shape(self, in_shape):
-        shape = in_shape
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-        return shape
-
-    def _forward(self, x, train):
-        self.bind(*x.shape[1:])
-        return _chain_forward(self.layers, x, train)
-
-    def _backward(self, grad_out, saved):
-        return _chain_backward(self.layers, grad_out, saved)
-
-    def param_groups(self):
-        return [g for layer in self.layers for g in layer.param_groups()]
-
-    kink_margin = PerceptronPool.kink_margin
-
 
 def param_count(obj) -> int:
-    """Learnable-parameter count of a perceptron pooling layer or stack:
-    instances * units * (W*H + 1), the +1 dropped without a bias term."""
-    if isinstance(obj, MlpPoolStack):
-        return sum(param_count(layer) for layer in obj.layers)
-    if isinstance(obj, PerceptronPool):
-        wh, ww = obj.window
-        return obj.instances * obj.units * (wh * ww + (1 if obj.use_bias else 0))
-    raise TypeError(f"param_count expects a perceptron pooling layer or stack, got {type(obj)!r}")
+    """Learnable-parameter count of a perceptron pooling layer or stack: the
+    sum of instances * units * (W*H + 1) over its layers, +1 only with a bias."""
+    if not isinstance(obj, _Chain):
+        raise TypeError(f"param_count expects a perceptron pooling layer or stack, got {type(obj)!r}")
+    return sum(l.instances * l.units * (l.window[0] * l.window[1] + l.use_bias) for l in obj.layers)

@@ -131,11 +131,31 @@ class TestConfig:
                                                    "classes when batch.balanced is set, got 25"),
         ("data.classes = 7\n", "data.classes must be 0 or in 2..4, got 7"),
         ("data.classes = 1\n", "data.classes must be 0 or in 2..4, got 1"),
+        ("data.synth_train = 0\n", "data.synth_train must be >= 1, got 0"),
+        ("data.synth_train = -5\n", "data.synth_train must be >= 1, got -5"),
+        ("data.synth_val = 0\n", "data.synth_val must be >= 1, got 0"),
+        ("data.synth_val = -3\n", "data.synth_val must be >= 1, got -3"),
+        ("data.kind = cifar10\ndata.train_size = -10\n",
+         "data.train_size must be >= 0 and a multiple of the 10 classes, got -10"),
+        ("data.kind = cifar10\ndata.train_size = 15\n",
+         "data.train_size must be >= 0 and a multiple of the 10 classes, got 15"),
+        ("data.kind = cifar10\ndata.val_size = -10\n",
+         "data.val_size must be >= 0 and a multiple of the 10 classes, got -10"),
+        ("data.kind = cifar10\ndata.val_size = 15\n",
+         "data.val_size must be >= 0 and a multiple of the 10 classes, got 15"),
+        ("batch.size = 600\nepochs = 1\n", "batch.size must be <= data.synth_train = 512, got 600"),
+        ("batch.balanced = false\ndata.synth_train = 40\nbatch.size = 41\n",
+         "batch.size must be <= data.synth_train = 40, got 41"),
+        ("data.kind = cifar10\ndata.train_size = 100\nbatch.size = 200\n",
+         "batch.size must be <= data.train_size = 100, got 200"),
     ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "pooling-message-unchanged",
             "lr<0", "lr=0", "wd<0", "momentum>1", "momentum=1", "factor=0", "factor>1",
             "decay<0", "decay-decreasing", "decay-repeated", "decay=epochs", "batch=0",
             "unbalanced-batch<0", "batch-not-multiple", "cifar-batch-not-multiple",
-            "classes>4", "classes=1"])
+            "classes>4", "classes=1", "synth_train=0", "synth_train<0", "synth_val=0",
+            "synth_val<0", "cifar-train_size<0", "cifar-train_size-not-multiple",
+            "cifar-val_size<0", "cifar-val_size-not-multiple", "batch>synth_train",
+            "unbalanced-batch>synth_train", "batch>cifar-train_size"])
     def test_out_of_range_value_names_full_key(self, text, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             parse_config(text)

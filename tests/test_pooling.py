@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -168,6 +171,28 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros(layer.output_shape(x.shape)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: PerceptronPool(2, 2, dtype=np.float64),
+        lambda: PerceptronUpsample(window=2, units=4, dtype=np.float64),
+        lambda: nn_4_1(),
+    ], ids=["pool", "upsample", "stack"])
+    def test_dropped_layer_freed_without_cyclic_gc(self, make):
+        # A layer in a reference cycle (say, one listing itself as its own
+        # chain) would keep its saved training state until the cyclic
+        # collector ran; dropping the last reference must free it at once.
+        layer = make()
+        x = np.ones((1, 1, 4, 4))
+        layer.backward(np.ones(layer.forward(x).shape))
+        ref = weakref.ref(layer)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del layer
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestProperties:
     def test_average_equivalence_many_shapes(self):
@@ -326,6 +351,7 @@ STACK_SPECS = {  # (units, window, stride) per layer
     "nn_16_1": [(16, 2, 2), (1, 4, 4)],
     "three_layers": [(4, 2, 2), (4, 2, 2), (1, 2, 2)],
     "mixed_blocks": [(4, 2, 2), (16, 2, 2), (1, 4, 4)],  # block side 2, then 4
+    "one_layer": [(4, 2, 2)],
 }
 
 
@@ -507,6 +533,10 @@ class TestParamCount:
     def test_unbound_non_global_needs_shape(self):
         with pytest.raises(RuntimeError):
             param_count(PerceptronPool(2, 2, sharing=Sharing.PER_CHANNEL))
+
+    def test_fixed_pool_rejected(self):
+        with pytest.raises(TypeError, match="perceptron pooling layer or stack"):
+            param_count(FixedPool("max"))
 
 
 class TestComplexityProbe:
