@@ -13,8 +13,7 @@ from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU
                      pool_out_dim, softmax_xent)
 from .models import Sequential, audit_params, build_model
 from .optim import Adam, ParamGroup, SGD, StepSchedule
-from .pooling import (MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing,
-                      param_count, restructure, unrestructure)
+from .pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing, param_count
 from .train import evaluate_checkpoint, evaluate_model, load_checkpoint, save_checkpoint, train
 
 __version__ = "0.1.0"
@@ -25,6 +24,5 @@ __all__ = [
     "ReLU", "SGD", "Sequential", "Sharing", "StepSchedule", "TrainConfig",
     "audit_params", "build_model", "check_layer", "evaluate_checkpoint",
     "evaluate_model", "fd_gradient", "load_checkpoint", "load_config",
-    "param_count", "parse_config", "pool_out_dim",
-    "restructure", "save_checkpoint", "softmax_xent", "train", "unrestructure",
+    "param_count", "parse_config", "pool_out_dim", "save_checkpoint", "softmax_xent", "train",
 ]

@@ -15,13 +15,14 @@ Conventions shared by all layers:
     convolution supports symmetric zero padding;
   - every windowed layer (Conv2d, FixedPool and the perceptron layers of
     pooling.py) reads its windows through im2col and returns its input
-    gradient through the adjoint col2im;
-  - Conv2d and FixedPool run one cache-sized batch block at a time: im2col
-    the block into one reused buffer, then GEMM or reduce it straight into
-    the BCHW output. Neither keeps columns: a training Conv2d keeps its
-    padded input and its backward rebuilds each block's columns from it;
-    max pooling keeps its input, and its backward rebuilds each block's
-    windows and their maxima from it.
+    gradient through the adjoint col2im; at window = stride = q, col2im is
+    the perceptron layers' depth-to-space and im2col its inverse;
+  - Conv2d and FixedPool walk cache-sized batch blocks with _block_columns,
+    which im2cols each into one reused buffer, then GEMM or reduce it
+    straight into the BCHW output. Neither keeps columns: a training
+    Conv2d keeps its padded input and its backward rebuilds each block's
+    columns from it; max pooling keeps its input, and its backward
+    rebuilds each block's windows and their maxima from it.
 """
 
 from __future__ import annotations
@@ -112,6 +113,20 @@ def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
                 else:
                     view += cols[dy, dx, blk]
     return x
+
+
+def _block_columns(x, wh, ww, stride, axis, budget):
+    """(batch block, its im2col) for each block of about `budget` column bytes
+    along the batch axis (0 or 1) of x, all written into one reused buffer."""
+    *lead, h, w = x.shape
+    oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
+    blocks = _blocks(lead[axis], wh * ww * math.prod(lead) * oh * ow * x.itemsize, budget)
+    lead[axis] = blocks[0].stop
+    buf = np.empty((wh, ww, *lead, oh, ow), dtype=x.dtype)
+    pre = (slice(None),) * axis
+    for blk in blocks:
+        out = buf[(slice(None), slice(None), *pre, slice(blk.stop - blk.start))]
+        yield blk, im2col(x[(*pre, blk)], wh, ww, stride, out=out)
 
 
 class Layer:
@@ -215,29 +230,16 @@ class Conv2d(Layer):
         # all a training forward keeps: backward rebuilds each block's columns
         # from it, which costs one im2col per block and saves the kh*kw-times
         # larger column matrix.
-        xp = np.zeros((c, b, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+        xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
         wm = self._weight_matrix()
         out = np.empty((b, self.out_channels, oh, ow), dtype=np.result_type(x, wm))
-        for blk, cb in self._block_columns(xp, oh, ow):
-            ob = wm @ cb
+        for blk, cb in _block_columns(xp, *self.kernel, self.stride, 1, _GEMM_BLOCK_BYTES):
+            ob = wm @ cb.reshape(wm.shape[1], -1)  # a row-strided view, not a copy
             if self.bias is not None:
                 ob += self.bias[:, None]
             out[blk] = ob.reshape(len(ob), blk.stop - blk.start, oh, ow).transpose(1, 0, 2, 3)
             del ob  # before the next block's GEMM allocates its own
         return out, xp
-
-    def _block_columns(self, xp, oh, ow):
-        """(batch block, its columns) for each block of the padded input xp
-        (C, B, H+2p, W+2p). The columns are a row-strided (kh*kw*C, nb*oH*oW)
-        matrix in one buffer that every block reuses."""
-        (kh, kw), (c, b) = self.kernel, xp.shape[:2]
-        blocks = _blocks(b, kh * kw * c * b * oh * ow * xp.itemsize, _GEMM_BLOCK_BYTES)
-        buf = np.empty((kh, kw, c, blocks[0].stop, oh, ow), dtype=xp.dtype)
-        for blk in blocks:
-            nb = blk.stop - blk.start
-            cb = im2col(xp[:, blk], kh, kw, self.stride, out=buf[:, :, :, :nb])
-            yield blk, cb.reshape(kh * kw * c, nb * oh * ow)
 
     def _backward(self, grad_out, xp):
         c, b, hp, wp = xp.shape
@@ -250,10 +252,10 @@ class Conv2d(Layer):
         gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
         wm_t = self._weight_matrix().T
         gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, go))
-        for blk, cb in self._block_columns(xp, oh, ow):
+        for blk, cb in _block_columns(xp, kh, kw, self.stride, 1, _GEMM_BLOCK_BYTES):
             nb = blk.stop - blk.start
             gob = go[:, blk].reshape(o, -1)
-            gw += (gob @ cb.T).reshape(gw.shape)
+            gw += (gob @ cb.reshape(wm_t.shape[0], -1).T).reshape(gw.shape)
             gxb = col2im((wm_t @ gob).reshape(kh, kw, c, nb, oh, ow), (c, nb, hp, wp), self.stride)
             gx[blk] = gxb[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
         return gx
@@ -277,12 +279,9 @@ class FixedPool(Layer):
         wh, ww = self.window
         # pool_out_dim raises unless the window tiles exactly.
         oh, ow = pool_out_dim(h, wh, self.stride), pool_out_dim(w, ww, self.stride)
-        blocks = _blocks(b, wh * ww * b * c * oh * ow * x.itemsize, _BLOCK_BYTES)
-        cols = np.empty((wh, ww, blocks[0].stop, c, oh, ow), dtype=x.dtype)
         out = np.empty((b, c, oh, ow), dtype=x.dtype)
         reduce = np.max if self.mode == "max" else np.mean
-        for blk in blocks:
-            cb = im2col(x[blk], wh, ww, self.stride, out=cols[:, :, : blk.stop - blk.start])
+        for blk, cb in _block_columns(x, wh, ww, self.stride, 0, _BLOCK_BYTES):
             reduce(cb, axis=(0, 1), out=out[blk])
         return out, (x if self.mode == "max" else x.shape)
 
@@ -291,17 +290,14 @@ class FixedPool(Layer):
         s = self.stride
         if self.mode == "average":
             return col2im(np.broadcast_to(grad_out / (wh * ww), (wh, ww, *grad_out.shape)), saved, s)
-        x = saved
-        blocks = _blocks(len(x), wh * ww * grad_out.nbytes, _BLOCK_BYTES)
-        cols = np.empty((wh, ww, blocks[0].stop, *grad_out.shape[1:]), dtype=grad_out.dtype)
+        x = saved.astype(grad_out.dtype, copy=False)  # windows in the gradient's dtype
         gx = np.empty(x.shape, dtype=grad_out.dtype)
-        for blk in blocks:
+        for blk, cb in _block_columns(x, wh, ww, s, 0, _BLOCK_BYTES):
             g = grad_out[blk]
             # Rebuild the block's windows and their maxima, then turn each
             # offset plane into its share of the gradient in place. The
             # gradient goes to the first maximum in row-major window scan, so
             # ties route the whole gradient to a single input.
-            cb = im2col(x[blk], wh, ww, s, out=cols[:, :, : len(g)])
             top = cb.max(axis=(0, 1))
             free = np.ones(g.shape, dtype=bool)  # no earlier offset took this window
             for dy in range(wh):

@@ -12,7 +12,8 @@ A layer may hold p = q*q perceptrons. Their p outputs at window position
 (i, j) are restructured into a q x q spatial block, row-major by unit index:
 unit k lands at (i*q + k//q, j*q + k mod q). This restructuring is the
 depth-to-space rearrangement ("pixel shuffle") of Shi et al. 2016
-(arXiv 1609.05158), with the units as the depth axis. With four units and
+(arXiv 1609.05158), with the units as the depth axis: layers.col2im at
+window = stride = q, whose inverse is layers.im2col. With four units and
 stride two the output tensor keeps the input's spatial size, so further
 perceptron layers can be stacked on top, forming a small MLP inside the
 network (MlpPoolStack). Every stack layer after the first must have window
@@ -37,8 +38,9 @@ PerceptronPool is a chain of itself, a PerceptronUpsample one that pads
 its input first, an MlpPoolStack one of its aligned layers. The first
 layer's windows are copied out once by layers.im2col, the chain runs as
 affine pieces on unit outputs, each one einsum per direction (the sharing
-mode only changes the weight subscripts), and depth-to-space restructures
-the last layer's units; the input gradient goes back through layers.col2im.
+mode only changes the weight subscripts), and col2im at the block places
+the last layer's units; the backward takes them back with im2col. Only
+Conv2d and FixedPool run batch blocks through layers._block_columns.
 One rule cuts the pieces: with no ReLU the whole chain is one composed
 affine map, its layers' weights multiplied per instance into one
 units x wh*ww map with one bias, so an identity nn_16_1 costs what a
@@ -67,32 +69,6 @@ class Sharing(enum.Enum):
 
 
 ACTIVATIONS = ("identity", "relu")
-
-
-def restructure(units: np.ndarray, q: int) -> np.ndarray:
-    """(B, C, q*q, oH, oW) unit outputs -> (B, C, oH*q, oW*q) output grid:
-    depth-to-space (pixel shuffle) with the units as the depth axis.
-
-    Every output cell is written exactly once (the map is a bijection).
-    """
-    b, c, p, oh, ow = units.shape
-    if q * q != p:
-        raise ValueError(f"cannot restructure {p} units into a {q}x{q} block")
-    blocks = units.reshape(b, c, q, q, oh, ow)
-    return blocks.transpose(0, 1, 4, 2, 5, 3).reshape(b, c, oh * q, ow * q)
-
-
-def unrestructure(grid: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of restructure, space-to-depth: (B, C, oH*q, oW*q) -> (B, C, q*q, oH, oW).
-
-    This is im2col with window and stride q, so the result is a view of a
-    fresh unit-major (q*q, B, C, oH, oW) array.
-    """
-    b, c, h, w = grid.shape
-    if h % q or w % q:
-        raise ValueError(f"grid {h}x{w} is not divisible into {q}x{q} blocks")
-    units = im2col(grid, q, q, q).reshape(q * q, b, c, h // q, w // q)
-    return np.moveaxis(units, 0, 2)
 
 
 # Einsum subscripts of the weight view weights.reshape(*bound_key, units, -1)
@@ -221,10 +197,16 @@ class _Chain(Layer):
             units, state = _piece_forward(piece, units)
             if train:
                 saved.append(state)
-        return restructure(np.moveaxis(units, 0, 2), self.layers[-1].block), saved
+        q = self.layers[-1].block  # the units are col2im's window offsets
+        if q == 1:  # a view, where col2im would copy
+            return units[0], saved
+        _, b, c, oh, ow = units.shape
+        return col2im(units.reshape(q, q, b, c, oh, ow), (b, c, oh * q, ow * q), q), saved
 
     def _backward(self, grad_out, saved):
-        grad = np.moveaxis(unrestructure(grad_out, self.layers[-1].block), 2, 0)
+        q = self.layers[-1].block
+        grad = im2col(grad_out, q, q, q)  # fresh: the pieces overwrite it
+        grad = grad.reshape(q * q, *grad.shape[2:])
         for piece, state in zip(reversed(_pieces(self.layers)), reversed(saved)):
             grad = _piece_backward(piece, grad, *state)
         (wh, ww), s = self.layers[0].window, self.layers[0].stride

@@ -112,6 +112,11 @@ def train(cfg: TrainConfig, out_dir, timer=time.perf_counter, log=None) -> Train
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = prepare_data(cfg)
+    counts = np.bincount(dataset.train_y, minlength=cfg.num_classes)  # make_batches checks only mid-run
+    if cfg.batch_balanced and counts.min() < (per := cfg.batch_size // cfg.num_classes):
+        key = "data.synth_train" if cfg.data_kind == "synth" else "data.train_size"
+        raise ValueError(f"batch.size = {cfg.batch_size} needs {per} images of every class, but the "
+                         f"{key} split holds only {counts.min()} of class {counts.argmin()}")
     model = build_model(cfg)
     optimizer = make_optimizer(
         cfg.optimizer_kind, model.param_groups(), lr=cfg.optimizer_lr,

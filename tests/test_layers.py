@@ -180,7 +180,8 @@ def test_empty_batch_gives_empty_output(make, train, out_shape):
 @pytest.mark.parametrize("make, budget", [
     (lambda: Conv2d(64, 128, 3, 1, 1, rng=np.random.default_rng(0)), "_GEMM_BLOCK_BYTES"),
     (lambda: FixedPool("max", 2, 2), "_BLOCK_BYTES"),
-], ids=["conv2d", "max"])
+    (lambda: FixedPool("average", 2, 2), "_BLOCK_BYTES"),
+], ids=["conv2d", "max", "average"])
 def test_eval_forward_allocates_no_full_batch_columns(make, budget):
     """An eval forward's peak allocation stays within its output plus two
     blocks' columns; a whole-batch column matrix would be 37.7 MB (Conv2d)
@@ -197,6 +198,23 @@ def test_eval_forward_allocates_no_full_batch_columns(make, budget):
     cols_per_image = kh * kw * x.shape[1] * out.shape[2] * out.shape[3] * x.itemsize
     block_cols = max(getattr(layers, budget), cols_per_image)
     assert peak < out.nbytes + 2 * block_cols, (peak, out.nbytes, block_cols)
+
+
+def test_max_backward_allocates_no_full_batch_columns():
+    """A max-pool training backward rebuilds its windows one batch block at a
+    time: its peak stays within the input gradient plus three blocks' columns
+    (7.3 MB here), where whole-batch columns would take it past 8.4 MB."""
+    layer = FixedPool("max", 2, 2)
+    x = np.random.default_rng(1).normal(size=(64, 64, 16, 16)).astype(np.float32)
+    grad_out = np.random.default_rng(2).normal(size=layer.forward(x).shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        gx = layer.backward(grad_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_cols = max(layers._BLOCK_BYTES, 4 * grad_out[0].nbytes)
+    assert peak < gx.nbytes + 3 * block_cols, (peak, gx.nbytes, block_cols)
 
 
 class TestConv2d:

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perceptpool.gradcheck import check_layer
-from perceptpool.layers import FixedPool, pool_out_dim
+from perceptpool.layers import FixedPool, col2im, im2col, pool_out_dim
 from perceptpool.pooling import (MlpPoolStack, PerceptronPool, PerceptronUpsample,
-                                 Sharing, param_count, restructure, unrestructure)
+                                 Sharing, param_count)
 
 from oracles import (avg_pool_loops, complexity_probe, loglog_slope, perceptron_pool_loops,
                      restructure_loops)
@@ -79,28 +79,41 @@ class TestForward:
             assert out.shape[2] == pool_out_dim(h, window, stride) * q
 
 
-class TestRestructure:
+def depth_to_space(units, q):
+    """(B, C, q*q, oH, oW) units -> (B, C, oH*q, oW*q) grid: col2im at window = stride = q."""
+    b, c, _, oh, ow = units.shape
+    return col2im(np.moveaxis(units, 2, 0).reshape(q, q, b, c, oh, ow), (b, c, oh * q, ow * q), q)
+
+
+def space_to_depth(grid, q):
+    """Inverse of depth_to_space: im2col at window = stride = q."""
+    cols = im2col(grid, q, q, q)
+    return np.moveaxis(cols.reshape(q * q, *cols.shape[2:]), 0, 2)
+
+
+class TestDepthToSpace:
+    """The units' restructuring is the window engine at window = stride = q."""
+
     def test_row_major_2x2_block(self):
         units = np.arange(4.0).reshape(1, 1, 4, 1, 1)
-        np.testing.assert_array_equal(restructure(units, 2)[0, 0], [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(depth_to_space(units, 2)[0, 0], [[0.0, 1.0], [2.0, 3.0]])
 
     def test_single_unit_is_identity(self):
         units = np.random.default_rng(3).normal(size=(2, 3, 1, 4, 5))
-        np.testing.assert_array_equal(restructure(units, 1), units[:, :, 0])
+        np.testing.assert_array_equal(depth_to_space(units, 1), units[:, :, 0])
 
     def test_unit5_of_16_lands_at_5_9(self):
         units = np.zeros((1, 1, 16, 3, 4))
         units[0, 0, 5, 1, 2] = 1.0
-        assert restructure(units, 4)[0, 0, 5, 9] == 1.0
+        grid = depth_to_space(units, 4)
+        assert grid[0, 0, 5, 9] == 1.0 and grid.sum() == 1.0
 
     def test_matches_placement_loop_oracle(self):
         rng = np.random.default_rng(4)
         units = rng.normal(size=(2, 2, 9, 2, 3))
-        np.testing.assert_array_equal(restructure(units, 3), restructure_loops(units, 3))
+        np.testing.assert_array_equal(depth_to_space(units, 3), restructure_loops(units, 3))
 
     def test_non_square_unit_count_rejected(self):
-        with pytest.raises(ValueError):
-            restructure(np.zeros((1, 1, 3, 2, 2)), 1)
         with pytest.raises(ValueError):
             PerceptronPool(2, 2, units=6)
 
@@ -109,11 +122,13 @@ class TestRestructure:
     def test_bijection_roundtrip(self, b, c, q, oh, ow):
         rng = np.random.default_rng(b * 100 + c * 10 + q)
         units = rng.normal(size=(b, c, q * q, oh, ow))
-        grid = restructure(units, q)
+        grid = depth_to_space(units, q)
         assert grid.shape == (b, c, oh * q, ow * q)
         # bijection: all input values appear exactly once
         assert np.array_equal(np.sort(grid.ravel()), np.sort(units.ravel()))
-        np.testing.assert_array_equal(unrestructure(grid, q), units)
+        back = space_to_depth(grid, q)
+        np.testing.assert_array_equal(back, units)
+        assert not np.shares_memory(back, grid)  # a backward may overwrite it in place
 
 
 class TestBackward:

@@ -81,6 +81,14 @@ class TestTraining:
         assert lrs[:2] == [1e-3, 1e-3]
         assert lrs[2] == pytest.approx(1e-4)
 
+    def test_unfillable_balanced_batch_fails_before_writing(self, tmp_path):
+        # With seed 1 the default 512 synth training images hold 252 of class 1.
+        cfg = TrainConfig(batch_size=512, epochs=1)
+        with pytest.raises(ValueError, match=r"batch\.size = 512 needs 256 images of every class, "
+                                             r"but the data\.synth_train split holds only 252 of class 1"):
+            train(cfg, tmp_path)
+        assert not (tmp_path / "metrics.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_a_layer(self, tmp_path):
         cfg = tiny_config(optimizer_kind="sgd", optimizer_lr=1e12, epochs=4,
