@@ -12,7 +12,7 @@ from .gradcheck import GradReport, check_layer, fd_gradient
 from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU,
                      pool_out_dim, softmax_xent)
 from .models import Sequential, audit_params, build_model
-from .optim import Adam, ParamGroup, SGD, StepSchedule
+from .optim import Adam, ParamGroup, SGD
 from .pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing, param_count
 from .train import evaluate_checkpoint, evaluate_model, load_checkpoint, save_checkpoint, train
 
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "BatchNorm2d", "Conv2d", "Dense", "FixedPool", "Flatten", "GradReport",
     "Layer", "MlpPoolStack", "ParamGroup", "PerceptronPool", "PerceptronUpsample",
-    "ReLU", "SGD", "Sequential", "Sharing", "StepSchedule", "TrainConfig",
+    "ReLU", "SGD", "Sequential", "Sharing", "TrainConfig",
     "audit_params", "build_model", "check_layer", "evaluate_checkpoint",
     "evaluate_model", "fd_gradient", "load_checkpoint", "load_config",
     "param_count", "parse_config", "pool_out_dim", "save_checkpoint", "softmax_xent", "train",

@@ -164,6 +164,10 @@ class TrainConfig:
     def num_classes(self) -> int:
         return (self.data_classes or 2) if self.data_kind == "synth" else 10
 
+    def lr_at(self, epoch: int) -> float:
+        """optimizer.lr times schedule.factor once per schedule epoch <= epoch."""
+        return self.optimizer_lr * self.schedule_factor ** sum(e <= epoch for e in self.schedule_epochs)
+
     def to_text(self) -> str:
         lines = []
         for key, f in _KEYMAP.items():

@@ -96,6 +96,20 @@ def augment_crop(images, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _class_indices(labels, size: int, num_classes: int | None, what: str):
+    """(size / K, each class's indices) for K = num_classes or the largest label + 1."""
+    labels = np.asarray(labels)
+    k = int(num_classes) if num_classes else int(labels.max()) + 1
+    if size % k != 0:
+        raise ValueError(f"{what} size {size} is not divisible by {k} classes")
+    per = size // k
+    class_idx = [np.flatnonzero(labels == cls) for cls in range(k)]
+    for cls, idx in enumerate(class_idx):
+        if len(idx) < per:
+            raise ValueError(f"class {cls} has only {len(idx)} examples, need {per} per {what}")
+    return per, class_idx
+
+
 def make_batches(images, labels, batch_size: int, rng: np.random.Generator,
                  balanced: bool = True, num_classes: int | None = None):
     """One epoch of batches as a list of index arrays into (images, labels).
@@ -112,19 +126,10 @@ def make_batches(images, labels, batch_size: int, rng: np.random.Generator,
     if not balanced:
         perm = rng.permutation(n)
         return [perm[i * batch_size : (i + 1) * batch_size] for i in range(n // batch_size)]
-    k = int(num_classes) if num_classes else int(labels.max()) + 1
-    if batch_size % k != 0:
-        raise ValueError(f"balanced batches need batch_size divisible by {k} classes")
-    per = batch_size // k
-    class_idx = []
-    for cls in range(k):
-        idx = np.flatnonzero(labels == cls)
-        if len(idx) < per:
-            raise ValueError(f"class {cls} has only {len(idx)} examples, need {per} per batch")
-        class_idx.append(rng.permutation(idx))
-    num_batches = min(len(idx) for idx in class_idx) // per
+    per, class_idx = _class_indices(labels, batch_size, num_classes, "batch")
+    class_idx = [rng.permutation(idx) for idx in class_idx]
     batches = []
-    for b in range(num_batches):
+    for b in range(min(len(idx) for idx in class_idx) // per):
         batch = np.concatenate([idx[b * per : (b + 1) * per] for idx in class_idx])
         rng.shuffle(batch)
         batches.append(batch)
@@ -134,18 +139,8 @@ def make_batches(images, labels, batch_size: int, rng: np.random.Generator,
 def balanced_subset(labels, size: int, rng: np.random.Generator,
                     num_classes: int | None = None) -> np.ndarray:
     """Index array selecting size examples with equal class counts."""
-    labels = np.asarray(labels)
-    k = int(num_classes) if num_classes else int(labels.max()) + 1
-    if size % k != 0:
-        raise ValueError(f"subset size {size} not divisible by {k} classes")
-    per = size // k
-    picks = []
-    for cls in range(k):
-        idx = np.flatnonzero(labels == cls)
-        if len(idx) < per:
-            raise ValueError(f"class {cls} has only {len(idx)} examples, need {per}")
-        picks.append(rng.choice(idx, size=per, replace=False))
-    out = np.concatenate(picks)
+    per, class_idx = _class_indices(labels, size, num_classes, "subset")
+    out = np.concatenate([rng.choice(idx, size=per, replace=False) for idx in class_idx])
     rng.shuffle(out)
     return out
 

@@ -230,7 +230,8 @@ class Conv2d(Layer):
         # all a training forward keeps: backward rebuilds each block's columns
         # from it, which costs one im2col per block and saves the kh*kw-times
         # larger column matrix.
-        xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
+        xp = np.zeros((c, b, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
         wm = self._weight_matrix()
         out = np.empty((b, self.out_channels, oh, ow), dtype=np.result_type(x, wm))
         for blk, cb in _block_columns(xp, *self.kernel, self.stride, 1, _GEMM_BLOCK_BYTES):
@@ -280,9 +281,11 @@ class FixedPool(Layer):
         # pool_out_dim raises unless the window tiles exactly.
         oh, ow = pool_out_dim(h, wh, self.stride), pool_out_dim(w, ww, self.stride)
         out = np.empty((b, c, oh, ow), dtype=x.dtype)
-        reduce = np.max if self.mode == "max" else np.mean
+        reduce = np.max if self.mode == "max" else np.sum
         for blk, cb in _block_columns(x, wh, ww, self.stride, 0, _BLOCK_BYTES):
-            reduce(cb, axis=(0, 1), out=out[blk])
+            ob = reduce(cb, axis=(0, 1), out=out[blk])
+            if self.mode == "average":  # sum, then divide: what np.mean does, without its overhead
+                ob /= wh * ww
         return out, (x if self.mode == "max" else x.shape)
 
     def _backward(self, grad_out, saved):

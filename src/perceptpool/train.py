@@ -21,7 +21,7 @@ from . import data as data_mod
 from .config import TrainConfig, parse_config
 from .models import Sequential, build_model, rng_for
 from .layers import softmax_xent
-from .optim import StepSchedule, make_optimizer
+from .optim import make_optimizer
 from .tensor import read_exact, read_tensor, write_tensor
 
 CHECKPOINT_MAGIC = b"PPOOLCK1"
@@ -123,7 +123,6 @@ def train(cfg: TrainConfig, out_dir, timer=time.perf_counter, log=None) -> Train
         momentum=cfg.optimizer_momentum, beta1=cfg.optimizer_beta1,
         beta2=cfg.optimizer_beta2, weight_decay=cfg.optimizer_weight_decay,
     )
-    schedule = StepSchedule(cfg.optimizer_lr, cfg.schedule_factor, cfg.schedule_epochs)
     batch_rng = rng_for(cfg.seed, "batches")
     augment_rng = rng_for(cfg.seed, "augment")
 
@@ -137,7 +136,7 @@ def train(cfg: TrainConfig, out_dir, timer=time.perf_counter, log=None) -> Train
     start_time = timer()
     val_acc = 0.0
     for epoch in range(cfg.epochs):
-        lr = schedule.lr_at(epoch)
+        lr = cfg.lr_at(epoch)
         losses = []
         correct = 0
         seen = 0

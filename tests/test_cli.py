@@ -3,6 +3,7 @@ import pytest
 
 from perceptpool.cli import build_check_layer, main
 from perceptpool.config import POOLING_KINDS, TrainConfig
+from perceptpool.layers import ReLU
 from perceptpool.models import make_pooling_slot
 
 
@@ -41,6 +42,12 @@ class TestGradcheckCommand:
 
     def test_average_pool_exact(self, capsys):
         assert main(["gradcheck", "--layer", "average", "--tolerance", "1e-8"]) == 0
+
+    def test_relu_spec(self, capsys):
+        layer, shape = build_check_layer("relu")
+        assert isinstance(layer, ReLU) and shape == (2, 3, 4, 4)
+        assert main(["gradcheck", "--layer", "relu"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_unknown_layer(self):
         with pytest.raises(ValueError, match="unknown layer"):

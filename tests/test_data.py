@@ -68,6 +68,11 @@ class TestBinaryFormat:
         with pytest.raises(FileNotFoundError):
             data.resolve_data_root(None)
 
+    def test_root_descends_into_the_archive_folder(self, tmp_path):
+        assert data.resolve_data_root(tmp_path) == tmp_path
+        (tmp_path / "cifar-10-batches-bin").mkdir()
+        assert data.resolve_data_root(str(tmp_path)) == tmp_path / "cifar-10-batches-bin"
+
 
 class TestNormalize:
     def test_red_mean_maps_to_zero(self):
@@ -158,9 +163,20 @@ class TestBatches:
         assert len(seen) == len(np.unique(seen))
 
     def test_batch_size_must_divide_by_classes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batch size 33 is not divisible by 10 classes"):
             data.make_batches(np.zeros((100, 1)), np.arange(100) % 10, 33,
                               np.random.default_rng(0), balanced=True)
+
+    def test_subset_size_must_divide_by_classes(self):
+        with pytest.raises(ValueError, match="subset size 33 is not divisible by 10 classes"):
+            data.balanced_subset(np.arange(100) % 10, 33, np.random.default_rng(0))
+
+    def test_short_class_named(self):
+        labels = np.repeat(np.arange(4), [10, 10, 3, 10])
+        with pytest.raises(ValueError, match="class 2 has only 3 examples, need 5 per batch"):
+            data.make_batches(np.zeros((33, 1)), labels, 20, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="class 2 has only 3 examples, need 5 per subset"):
+            data.balanced_subset(labels, 20, np.random.default_rng(0))
 
     def test_balanced_subset_is_balanced(self):
         rng = np.random.default_rng(5)

