@@ -165,11 +165,6 @@ class Layer:
         for g in self.param_groups():
             g.grad[...] = 0.0
 
-    def kink_margin(self):
-        """Distance of the last forward from the nearest nondifferentiable
-        point, or None for smooth layers. Used by the gradient checker."""
-        return None
-
 
 def _weight_bias_groups(layer, *factors) -> list[ParamGroup]:
     """The `<name>.weight` group, then `<name>.bias` when the layer has a bias;
@@ -312,28 +307,17 @@ class FixedPool(Layer):
             gx[blk] = col2im(cb, (len(g), *x.shape[1:]), s)
         return gx
 
-    def kink_margin(self):
-        if self._saved is None or self.mode != "max" or self.window[0] * self.window[1] < 2:
-            return None
-        cols = im2col(self._saved[0], *self.window, self.stride)
-        top2 = np.partition(cols.reshape(-1, *cols.shape[2:]), -2, axis=0)[-2:]
-        return float(np.min(top2[1] - top2[0]))
-
 
 class ReLU(Layer):
     def __init__(self, name: str = "relu"):
         self.name = name
 
     def _forward(self, x, train):
-        return np.maximum(x, 0), x
+        y = np.maximum(x, 0)
+        return y, y  # y > 0 exactly where x > 0
 
-    def _backward(self, grad_out, x):
-        return grad_out * (x > 0)
-
-    def kink_margin(self):
-        if self._saved is None or self._saved[0].size == 0:
-            return None
-        return float(np.min(np.abs(self._saved[0])))
+    def _backward(self, grad_out, y):
+        return grad_out * (y > 0)
 
 
 class BatchNorm2d(Layer):

@@ -70,10 +70,6 @@ class Sequential(Layer):
     def state_tensors(self):
         return [t for layer in self.layers for t in layer.state_tensors()]
 
-    def kink_margin(self):
-        margins = [m for layer in self.layers if (m := layer.kink_margin()) is not None]
-        return min(margins) if margins else None
-
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
     """Deterministic per-layer generator keyed on (run seed, layer name)."""

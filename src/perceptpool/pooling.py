@@ -215,12 +215,6 @@ class _Chain(Layer):
         (pt, pb), (pl, pr) = self._pads
         return gx[:, :, pt : gx.shape[2] - pb, pl : gx.shape[3] - pr]
 
-    def kink_margin(self):
-        """Smallest |pre-activation| of the chain's ReLU units in the last
-        training forward; None for an identity chain, which has no kink."""
-        pres = [] if self._saved is None else [p for *_, p in self._saved[0] if p is not None]
-        return min(float(np.min(np.abs(p))) for p in pres) if pres else None
-
 
 class PerceptronPool(_Chain):
     """Perceptron(s) as a pooling operator.

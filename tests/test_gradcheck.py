@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from perceptpool.gradcheck import check_layer, fd_gradient
-from perceptpool.layers import Dense, FixedPool, ReLU
+from perceptpool.cli import build_check_layer
+from perceptpool.config import POOLING_KINDS
+from perceptpool.gradcheck import _MAX_RESAMPLE, _probe, check_layer, fd_gradient
+from perceptpool.layers import Dense, FixedPool, Layer, ReLU
 from perceptpool.pooling import PerceptronPool
 
 
@@ -27,6 +29,19 @@ class TestFdGradient:
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.raises(FloatingPointError):
                 fd_gradient(lambda: float(np.log(theta[0])), theta)
+
+    def test_bend_is_the_error_of_a_probe_across_a_kink(self):
+        # f(x) = |x - d| with its kink inside the probe at 0: slope -1 at 0
+        h, d = 1e-5, 3e-6
+        theta = np.array([0.0])
+        grad, bend = _probe(lambda: abs(theta[0] - d), theta, h)
+        assert bend[0] == pytest.approx(abs(grad[0] - (-1.0)), rel=1e-9)
+        assert bend[0] == pytest.approx((h - d) / h, rel=1e-9)
+
+    def test_bend_is_zero_away_from_a_kink(self):
+        theta = np.array([0.5])
+        _, bend = _probe(lambda: abs(theta[0] - 0.1), theta, 1e-5)
+        assert bend[0] < 1e-10
 
     def test_perceptron_pool_with_l2_loss(self):
         rng = np.random.default_rng(0)
@@ -87,3 +102,61 @@ class TestCheckLayer:
     def test_report_format_mentions_verdict(self):
         report = check_layer(Dense(3, 2, dtype=np.float64), (2, 3), seed=4)
         assert "PASS" in report.format()
+
+
+class _Elementwise(Layer):
+    """y = fn(x) elementwise with backward grad_out * dfn(x); no parameters."""
+
+    def __init__(self, fn, dfn):
+        self.fn, self.dfn = fn, dfn
+
+    def _forward(self, x, train):
+        return self.fn(x), x
+
+    def _backward(self, grad_out, x):
+        return grad_out * self.dfn(x)
+
+
+class TestKinks:
+    def test_undeclared_kink_near_first_sample_is_resampled(self):
+        # the kink sits 3e-6 from the input check_layer draws first, so a
+        # probe there is off by 70%; the checker must find it and move on
+        shape, seed = (2, 3), 0
+        c = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape).flat[0] + 3e-6
+        layer = _Elementwise(lambda x: np.abs(x - c), lambda x: np.sign(x - c))
+        report = check_layer(layer, shape, seed=seed, tolerance=1e-4)
+        assert report.passed, report.format()
+        assert report.max_rel_err < 1e-8
+
+    def test_wrong_relu_backward_fails(self):
+        class LeakyBackward(ReLU):
+            def _backward(self, grad_out, y):
+                return grad_out * np.where(y > 0, 1.0, 0.5)
+
+        report = check_layer(LeakyBackward(), (2, 3, 4, 4), seed=3, tolerance=1e-4)
+        assert not report.passed
+
+    def test_wrong_max_pool_backward_fails(self):
+        class DoubledBackward(FixedPool):
+            def _backward(self, grad_out, saved):
+                return 2.0 * super()._backward(grad_out, saved)
+
+        report = check_layer(DoubledBackward("max", 2, 2), (2, 2, 6, 6), seed=1, tolerance=1e-4)
+        assert not report.passed
+
+    def test_kink_inside_every_probe_raises(self):
+        # |sin(3e5 x)| bends every ~1.05e-5, so every probe of width 2h meets a kink
+        layer = _Elementwise(lambda x: np.abs(np.sin(3e5 * x)),
+                             lambda x: 3e5 * np.cos(3e5 * x) * np.sign(np.sin(3e5 * x)))
+        with pytest.raises(RuntimeError, match=str(_MAX_RESAMPLE)):
+            check_layer(layer, (1, 2), seed=0)
+
+
+@pytest.mark.parametrize("kind", [k for k, built in POOLING_KINDS.items() if built is not None])
+def test_every_relu_pooling_kind_passes(kind):
+    """Every learnable pooling kind with ReLU units, so a new kind's kinks go
+    through the bend check too (the baselines reject pooling.activation)."""
+    for seed in range(4):
+        layer, shape = build_check_layer(f"{kind}:activation=relu")
+        report = check_layer(layer, shape, seed=seed, tolerance=1e-4)
+        assert report.passed, f"{kind} seed {seed}:\n{report.format()}"

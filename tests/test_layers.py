@@ -146,6 +146,15 @@ def test_max_pool_training_forward_keeps_only_its_input():
     assert _array_bytes(pool._saved[0]) <= x.nbytes
 
 
+def test_relu_then_max_pool_keep_one_array():
+    """ReLU keeps its output, which is max pooling's input: a training
+    forward of the pair holds the activation once."""
+    x = np.random.default_rng(3).normal(size=(5, 8, 12, 12)).astype(np.float32)
+    relu, pool = ReLU(), FixedPool("max", 2, 2)
+    pool.forward(relu.forward(x, train=True), train=True)
+    assert relu._saved[0] is pool._saved[0]
+
+
 def test_conv2d_float32_weight_gradient_over_blocks():
     """The weight gradient is summed block by block; in float32, over a batch
     of several blocks, it stays within 1e-5 of the float64 reference."""

@@ -434,16 +434,6 @@ class TestStackMatchesComposition:
         assert max(saved_sizes(identity)) == x.size
         assert max(saved_sizes(relu)) == 4 * x.size
 
-    def test_kink_margin_only_with_relu(self):
-        # gradcheck resamples its input only when kink_margin is a float
-        x = np.random.default_rng(25).normal(size=(1, 2, 8, 8))
-        identity = nn_16_1(init="glorot", rng=np.random.default_rng(26))
-        relu = nn_16_1(activation="relu", init="glorot", rng=np.random.default_rng(26))
-        identity.forward(x)
-        relu.forward(x)
-        assert identity.kink_margin() is None
-        assert isinstance(relu.kink_margin(), float)
-
     def test_grad_out_shape_checked(self):
         stack = nn_16_1()
         stack.forward(np.zeros((1, 1, 8, 8)))
