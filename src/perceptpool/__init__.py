@@ -8,7 +8,7 @@ checking, and a training CLI.
 """
 
 from .config import TrainConfig, load_config, parse_config
-from .gradcheck import GradReport, check_layer, fd_gradient
+from .gradcheck import GradReport, check_layer
 from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU,
                      pool_out_dim, softmax_xent)
 from .models import Sequential, audit_params, build_model
@@ -23,6 +23,6 @@ __all__ = [
     "Layer", "MlpPoolStack", "ParamGroup", "PerceptronPool", "PerceptronUpsample",
     "ReLU", "SGD", "Sequential", "Sharing", "TrainConfig",
     "audit_params", "build_model", "check_layer", "evaluate_checkpoint",
-    "evaluate_model", "fd_gradient", "load_checkpoint", "load_config",
+    "evaluate_model", "load_checkpoint", "load_config",
     "param_count", "parse_config", "pool_out_dim", "save_checkpoint", "softmax_xent", "train",
 ]

@@ -61,18 +61,11 @@ class GradReport:
         return "\n".join(lines)
 
 
-def fd_gradient(f, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central differences (f(p + h*e_i) - f(p - h*e_i)) / 2h per coordinate.
-
-    `f` is a zero-argument callable reading `params` by reference; the array
-    is perturbed in place and restored.
-    """
-    return _probe(f, params, h)[0]
-
-
 def _probe(f, params: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(central difference, bend |f(p + h*e_i) - 2f(p) + f(p - h*e_i)| / 2h)
-    per coordinate, as fd_gradient perturbs them."""
+    """(central difference (f(p + h*e_i) - f(p - h*e_i)) / 2h, bend
+    |f(p + h*e_i) - 2f(p) + f(p - h*e_i)| / 2h) per coordinate of `params`.
+    `f` is a zero-argument callable reading `params` by reference; each
+    coordinate is perturbed in place and restored."""
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
     flat = params.reshape(-1)

@@ -13,16 +13,14 @@ Conventions shared by all layers:
     without it and ValueError for a grad_out of another shape;
   - pooling never pads and requires the window to tile the input exactly;
     convolution supports symmetric zero padding;
-  - every windowed layer (Conv2d, FixedPool and the perceptron layers of
-    pooling.py) reads its windows through im2col and returns its input
-    gradient through the adjoint col2im; at window = stride = q, col2im is
-    the perceptron layers' depth-to-space and im2col its inverse;
-  - Conv2d and FixedPool walk cache-sized batch blocks with _block_columns,
-    which im2cols each into one reused buffer, then GEMM or reduce it
-    straight into the BCHW output. Neither keeps columns: a training
-    Conv2d keeps its padded input and its backward rebuilds each block's
-    columns from it; max pooling keeps its input, and its backward
-    rebuilds each block's windows and their maxima from it.
+  - every windowed layer (Conv2d, FixedPool and the perceptron chains of
+    pooling.py) walks cache-sized batch blocks with _block_columns, which
+    im2cols each into one reused buffer, then GEMMs, reduces or contracts
+    it straight into the block's BCHW output, and returns each block's
+    input gradient through the adjoint col2im; at window = stride = q,
+    col2im is the perceptron layers' depth-to-space and im2col its inverse;
+  - none keeps columns: a training forward keeps its (padded) input, and
+    the backward rebuilds each block's columns from it.
 """
 
 from __future__ import annotations
@@ -55,10 +53,9 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-# Windowed loops walk their leading axis in blocks of about this many bytes
-# (of input for im2col and col2im, of columns for the batch blocks of Conv2d
-# and FixedPool), so the strided passes over a block, and the GEMM or
-# reduction that reads its columns, are served from cache instead of sweeping
+# _block_columns walks the batch in blocks of about this many column bytes,
+# so the strided passes over a block, and the GEMM, reduction or contraction
+# that reads its columns, are served from cache instead of sweeping
 # whole-batch arrays from memory.
 _BLOCK_BYTES = 1 << 20
 # Conv2d's blocks are larger: each is one GEMM call per direction, and a
@@ -87,10 +84,9 @@ def im2col(x: np.ndarray, wh: int, ww: int, stride: int, out: np.ndarray | None 
     oh = (h - wh) // stride + 1
     ow = (w - ww) // stride + 1
     cols = np.empty((wh, ww, *lead, oh, ow), dtype=x.dtype) if out is None else out
-    for blk in _blocks(len(x), x.nbytes, _BLOCK_BYTES):
-        for dy in range(wh):
-            for dx in range(ww):
-                cols[dy, dx, blk] = _window(x[blk], dy, dx, stride, oh, ow)
+    for dy in range(wh):
+        for dx in range(ww):
+            cols[dy, dx] = _window(x, dy, dx, stride, oh, ow)
     return cols
 
 
@@ -104,14 +100,13 @@ def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
     # planes are assigned into an empty array; otherwise they add onto zeros.
     tiles = wh == ww == stride and tuple(shape[-2:]) == (oh * stride, ow * stride)
     x = (np.empty if tiles else np.zeros)(shape, dtype=cols.dtype)
-    for blk in _blocks(len(x), x.nbytes, _BLOCK_BYTES):
-        for dy in range(wh):
-            for dx in range(ww):
-                view = _window(x[blk], dy, dx, stride, oh, ow)
-                if tiles:
-                    view[...] = cols[dy, dx, blk]
-                else:
-                    view += cols[dy, dx, blk]
+    for dy in range(wh):
+        for dx in range(ww):
+            view = _window(x, dy, dx, stride, oh, ow)
+            if tiles:
+                view[...] = cols[dy, dx]
+            else:
+                view += cols[dy, dx]
     return x
 
 

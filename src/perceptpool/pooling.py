@@ -35,19 +35,18 @@ afterwards is an error.
 
 All three are one Layer, a chain of perceptron layers (_Chain): a
 PerceptronPool is a chain of itself, a PerceptronUpsample one that pads
-its input first, an MlpPoolStack one of its aligned layers. The first
-layer's windows are copied out once by layers.im2col, the chain runs as
-affine pieces on unit outputs, each one einsum per direction (the sharing
-mode only changes the weight subscripts), and col2im at the block places
-the last layer's units; the backward takes them back with im2col. Only
-Conv2d and FixedPool run batch blocks through layers._block_columns.
-One rule cuts the pieces: with no ReLU the whole chain is one composed
-affine map, its layers' weights multiplied per instance into one
-units x wh*ww map with one bias, so an identity nn_16_1 costs what a
-perceptron costs and never holds its 16 unit planes; a ReLU cannot be
-folded, so a chain with one runs per-layer units. A single layer runs the
-same einsums either way. The unit layers keep no state: each piece's
-(columns, prefix maps, pre-activation) is the slot's saved state.
+its input first, an MlpPoolStack one of its aligned layers. Like Conv2d
+and FixedPool it walks batch blocks with layers._block_columns: each
+block's first-layer windows run through affine pieces on unit outputs,
+each one einsum per direction (the sharing mode only changes the weight
+subscripts), and col2im at the block places the last layer's units. One
+rule cuts the pieces: with no ReLU the whole chain is one composed affine
+map, its layers' weights multiplied per instance into one units x wh*ww
+map with one bias, so an identity nn_16_1 costs what a perceptron costs;
+a ReLU cannot be folded, so a chain with one runs per-layer units. A
+training forward keeps only its (padded) input: the backward rebuilds each
+block's columns and reruns the pieces it needs, trading a forward for never
+holding columns or unit planes (Chen et al. 2016, arXiv 1604.06174).
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ import math
 import numpy as np
 
 from . import initializers
-from .layers import Layer, col2im, im2col, pool_out_dim, _pair, _weight_bias_groups
+from .layers import (_BLOCK_BYTES, Layer, _block_columns, col2im, im2col, pool_out_dim, _pair,
+                     _weight_bias_groups)
 
 
 class Sharing(enum.Enum):
@@ -85,11 +85,10 @@ _WEIGHT_SUBSCRIPTS = {
 
 
 def _pieces(layers):
-    """The affine maps a chain runs: all its layers composed into one when
-    none has a ReLU, else one per layer."""
-    if any(layer.activation == "relu" for layer in layers):
-        return [[layer] for layer in layers]
-    return [layers]
+    """The affine maps a chain runs, each (its layers, their _compose maps):
+    all its layers composed into one when none has a ReLU, else one per layer."""
+    relu = any(layer.activation == "relu" for layer in layers)
+    return [(piece, _compose(piece)) for piece in ([[l] for l in layers] if relu else [layers])]
 
 
 def _compose(layers):
@@ -114,31 +113,29 @@ def _compose(layers):
 # float32 took 1.5 against 7 ms through BLAS under GLOBAL sharing and 7
 # against 19 ms under PER_TENSOR (2 cores, OpenBLAS). A piece contracts
 # with its last layer's units, so nn_4_1 and nn_16_1 run one 1-unit 2x2 map.
-def _piece_forward(layers, cols):
-    """Last layer's units (units, B, C, oH, oW) of one affine piece over
-    columns (wh*ww, B, C, oH, oW), and its saved (columns, prefix maps,
-    pre-activation a ReLU backward needs or None)."""
-    last, maps = layers[-1], _compose(layers)
+def _piece_forward(layers, maps, cols):
+    """Last layer's units (units, B, C, oH, oW) of one affine piece with prefix
+    maps `maps` over columns (wh*ww, B, C, oH, oW)."""
+    last = layers[-1]
     sub, key = _WEIGHT_SUBSCRIPTS[last.sharing], last._bound_key
     p, c = maps[-1]
     pre = np.einsum(f"rbcij,{sub}->kbcij", cols, p.reshape(*key, last.units, -1), optimize=last.units > 1)
     if c is not None:
         bias = np.moveaxis(c.reshape(*key, last.units), -1, 0)
         pre += np.expand_dims(bias, [a for a, s in enumerate("kbcij") if s not in sub])
-    if last.activation == "relu":
-        return np.maximum(pre, 0), (cols, maps, pre)
-    return pre, (cols, maps, None)
+    return np.maximum(pre, 0, out=pre) if last.activation == "relu" else pre
 
 
-def _piece_backward(layers, grad, cols, maps, pre):
-    """Accumulate every layer's parameter gradients from the gradient of the
-    piece's units (overwritten) and return the column gradient. One pass
-    gives the composed map's gradients S = sum g cols^T and G = sum g; then,
-    with A_l = W_L...W_{l+1}, dW_l = A_l^T (S P_{l-1}^T + G c_{l-1}^T) and
-    db_l = A_l^T G, walking s = A_l^T S and g = A_l^T G down the chain."""
-    if pre is not None:
-        grad *= pre > 0
+def _piece_backward(layers, maps, grad, cols, units=None):
+    """Accumulate every layer's parameter gradients from `grad` (overwritten),
+    the gradient of the piece's `units`, which only a ReLU reads, and return
+    the column gradient. One pass gives the composed map's gradients S = sum
+    g cols^T and G = sum g; then, with A_l = W_L...W_{l+1}, dW_l = A_l^T (S
+    P_{l-1}^T + G c_{l-1}^T) and db_l = A_l^T G, walking s = A_l^T S and g =
+    A_l^T G down the chain."""
     last = layers[-1]
+    if last.activation == "relu":
+        grad *= units > 0
     sub, key = _WEIGHT_SUBSCRIPTS[last.sharing], last._bound_key
     p, c = maps[-1]
     s = np.einsum(f"kbcij,rbcij->{sub}", grad, cols, optimize=last.units > 1).reshape(p.shape)
@@ -187,33 +184,39 @@ class _Chain(Layer):
 
     def _forward(self, x, train):
         self.bind(*x.shape[1:])
+        out = np.empty(self.output_shape(x.shape), np.result_type(x, *(l.weights for l in self.layers)))
         if self._pads != _Chain._pads:  # np.pad copies even with zero widths
             x = np.pad(x, ((0, 0), (0, 0), *self._pads))
-        first = self.layers[0]
-        units = im2col(x, *first.window, first.stride)
-        units = units.reshape(first.window[0] * first.window[1], *units.shape[2:])
-        saved = []
-        for piece in _pieces(self.layers):
-            units, state = _piece_forward(piece, units)
-            if train:
-                saved.append(state)
+        pieces = _pieces(self.layers)
         q = self.layers[-1].block  # the units are col2im's window offsets
-        if q == 1:  # a view, where col2im would copy
-            return units[0], saved
-        _, b, c, oh, ow = units.shape
-        return col2im(units.reshape(q, q, b, c, oh, ow), (b, c, oh * q, ow * q), q), saved
+        for blk, units in self._block_units(x):
+            for piece, maps in pieces:
+                units = _piece_forward(piece, maps, units)
+            out[blk] = col2im(units.reshape(q, q, *units.shape[1:]), out[blk].shape, q)
+        return out, x
 
-    def _backward(self, grad_out, saved):
-        q = self.layers[-1].block
-        grad = im2col(grad_out, q, q, q)  # fresh: the pieces overwrite it
-        grad = grad.reshape(q * q, *grad.shape[2:])
-        for piece, state in zip(reversed(_pieces(self.layers)), reversed(saved)):
-            grad = _piece_backward(piece, grad, *state)
-        (wh, ww), s = self.layers[0].window, self.layers[0].stride
-        _, b, c, oh, ow = grad.shape
-        gx = col2im(grad.reshape(wh, ww, b, c, oh, ow), (b, c, (oh - 1) * s + wh, (ow - 1) * s + ww), s)
+    def _backward(self, grad_out, x):
+        gx = np.empty(x.shape, np.result_type(grad_out, *(l.weights for l in self.layers)))
+        pieces = _pieces(self.layers)
+        q, s = self.layers[-1].block, self.layers[0].stride
+        for blk, units in self._block_units(x):
+            acts = [units]  # each piece's input units, and its output where a ReLU reads it
+            for i, (piece, maps) in enumerate(pieces):
+                if i + 1 < len(pieces) or piece[-1].activation == "relu":
+                    acts.append(_piece_forward(piece, maps, acts[-1]))
+            grad = im2col(grad_out[blk], q, q, q)  # fresh: the pieces overwrite it
+            grad = grad.reshape(q * q, *grad.shape[2:])
+            for i, (piece, maps) in reversed(list(enumerate(pieces))):
+                grad = _piece_backward(piece, maps, grad, *acts[i : i + 2])
+            gx[blk] = col2im(grad.reshape(*self.layers[0].window, *grad.shape[1:]), gx[blk].shape, s)
         (pt, pb), (pl, pr) = self._pads
         return gx[:, :, pt : gx.shape[2] - pb, pl : gx.shape[3] - pr]
+
+    def _block_units(self, x):
+        """(batch block, its first-layer columns (wh*ww, b, C, oH, oW)) over x."""
+        (wh, ww), s = self.layers[0].window, self.layers[0].stride
+        for blk, cols in _block_columns(x, wh, ww, s, 0, _BLOCK_BYTES):
+            yield blk, cols.reshape(wh * ww, *cols.shape[2:])  # not -1: a block may be empty
 
 
 class PerceptronPool(_Chain):

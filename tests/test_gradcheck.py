@@ -3,7 +3,7 @@ import pytest
 
 from perceptpool.cli import build_check_layer
 from perceptpool.config import POOLING_KINDS
-from perceptpool.gradcheck import _MAX_RESAMPLE, _probe, check_layer, fd_gradient
+from perceptpool.gradcheck import _MAX_RESAMPLE, _probe, check_layer
 from perceptpool.layers import Dense, FixedPool, Layer, ReLU
 from perceptpool.pooling import PerceptronPool
 
@@ -11,24 +11,24 @@ from perceptpool.pooling import PerceptronPool
 class TestFdGradient:
     def test_quadratic(self):
         theta = np.array([3.0])
-        grad = fd_gradient(lambda: theta[0] ** 2, theta, h=1e-5)
+        grad = _probe(lambda: theta[0] ** 2, theta, 1e-5)[0]
         assert grad[0] == pytest.approx(6.0, abs=1e-9)
 
     def test_constant_function_is_zero(self):
         theta = np.ones(5)
-        grad = fd_gradient(lambda: 42.0, theta)
+        grad = _probe(lambda: 42.0, theta, 1e-5)[0]
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_restores_params(self):
         theta = np.array([1.0, 2.0, 3.0])
-        fd_gradient(lambda: float(np.sum(theta**2)), theta)
+        _probe(lambda: float(np.sum(theta**2)), theta, 1e-5)
         np.testing.assert_array_equal(theta, [1.0, 2.0, 3.0])
 
     def test_nonfinite_evaluation_raises(self):
         theta = np.array([0.0])
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.raises(FloatingPointError):
-                fd_gradient(lambda: float(np.log(theta[0])), theta)
+                _probe(lambda: float(np.log(theta[0])), theta, 1e-5)
 
     def test_bend_is_the_error_of_a_probe_across_a_kink(self):
         # f(x) = |x - d| with its kink inside the probe at 0: slope -1 at 0
@@ -58,8 +58,8 @@ class TestFdGradient:
         pool.zero_grad()
         out = pool.forward(x)
         analytic_in = pool.backward(out - target)
-        np.testing.assert_allclose(analytic_in, fd_gradient(loss, x), rtol=1e-4, atol=1e-8)
-        np.testing.assert_allclose(pool.weights_grad, fd_gradient(loss, pool.weights),
+        np.testing.assert_allclose(analytic_in, _probe(loss, x, 1e-5)[0], rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(pool.weights_grad, _probe(loss, pool.weights, 1e-5)[0],
                                    rtol=1e-4, atol=1e-8)
 
 

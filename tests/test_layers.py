@@ -31,8 +31,8 @@ class TestPoolOutDim:
 
 
 class TestWindowEngine:
-    # 7 x 3 x 130 x 130 float64 is about 2.8 MB, several of im2col's blocks
-    # of the first axis, with a short last block.
+    # 7 x 3 x 130 x 130 float64 is about 2.8 MB, several of _block_columns'
+    # blocks, which the window kernels take in one pass.
     SHAPE = (7, 3, 130, 130)
 
     @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (4, 3)])
@@ -71,9 +71,9 @@ def _assert_spans_blocks(n, cols_per_item, budget):
 
 
 class TestBatchBlocks:
-    """Conv2d and FixedPool run one batch block at a time; on float64 batches
-    spanning several blocks they match the whole-batch oracles in train and
-    eval mode."""
+    """Conv2d, FixedPool and the perceptron chains run one batch block at a
+    time; on float64 batches spanning several blocks they match whole-batch
+    oracles in train and eval mode, or each image run alone."""
 
     @pytest.mark.parametrize("kernel,stride,pad,shape", [
         (3, 1, 1, (7, 8, 66, 66)),
@@ -116,6 +116,35 @@ class TestBatchBlocks:
         _assert_close(pool.backward(grad_out), dx)
         _assert_close(pool.forward(x, train=False), out)
 
+    @pytest.mark.parametrize("make,shape", [
+        (lambda rng: MlpPoolStack([
+            PerceptronPool(2, 2, 16, activation="relu", init="glorot", rng=rng, dtype=np.float64),
+            PerceptronPool(4, 4, 1, activation="relu", init="glorot", rng=rng, dtype=np.float64)]),
+         (7, 16, 64, 64)),
+        (lambda rng: PerceptronPool(2, 2, sharing="per_tensor", init="glorot", rng=rng, dtype=np.float64),
+         (7, 16, 64, 64)),
+        (lambda rng: PerceptronUpsample(2, 4, dtype=np.float64), (7, 4, 64, 64)),
+    ], ids=["relu_nn_16_1", "per_tensor", "upsample"])
+    def test_perceptron_chain_matches_image_by_image(self, make, shape):
+        """A perceptron chain over a batch of several blocks gives each image
+        the output and input gradient it gets alone, and the sum of their
+        parameter gradients."""
+        rng = np.random.default_rng(54)
+        slot = make(rng)
+        x = rng.normal(size=shape)
+        out = slot.forward(x)
+        # 2x2 columns of 16 x 64 x 64 at stride 2, or of 4 x 65 x 65 padded at stride 1
+        _assert_spans_blocks(len(x), 4 * 16 * 32 * 32 * 8, layers._BLOCK_BYTES)
+        grad_out = rng.normal(size=out.shape)
+        gx = slot.backward(grad_out)
+        grads = [g.grad.copy() for g in slot.param_groups()]
+        slot.zero_grad()
+        for i in range(len(x)):
+            _assert_close(out[i : i + 1], slot.forward(x[i : i + 1]))
+            _assert_close(gx[i : i + 1], slot.backward(grad_out[i : i + 1]))
+        for grad, group in zip(grads, slot.param_groups()):
+            _assert_close(grad, group.grad)
+
 
 def _array_bytes(saved):
     """Bytes of every array in a layer's saved state, however it nests."""
@@ -147,17 +176,21 @@ def test_max_pool_training_forward_keeps_only_its_input():
 
 
 def test_relu_then_max_pool_keep_one_array():
-    """ReLU keeps its output, which is max pooling's input: a training
-    forward of the pair holds the activation once."""
+    """ReLU keeps its output, which is the input that max pooling and a
+    perceptron slot keep: a training forward of either pair holds the
+    activation once."""
     x = np.random.default_rng(3).normal(size=(5, 8, 12, 12)).astype(np.float32)
-    relu, pool = ReLU(), FixedPool("max", 2, 2)
-    pool.forward(relu.forward(x, train=True), train=True)
-    assert relu._saved[0] is pool._saved[0]
+    relu = ReLU()
+    y = relu.forward(x, train=True)
+    for pool in (FixedPool("max", 2, 2), PerceptronPool(2, 2)):
+        pool.forward(y, train=True)
+        assert relu._saved[0] is pool._saved[0], pool
 
 
 def test_conv2d_float32_weight_gradient_over_blocks():
-    """The weight gradient is summed block by block; in float32, over a batch
-    of several blocks, it stays within 1e-5 of the float64 reference."""
+    """The weight gradients of Conv2d and of a perceptron slot are summed
+    block by block; in float32, over a batch of several blocks, each stays
+    within 1e-5 of the float64 reference."""
     rng = np.random.default_rng(53)
     b, c, h, w = shape = (11, 16, 66, 66)
     _assert_spans_blocks(b, 9 * c * h * w * 4, layers._GEMM_BLOCK_BYTES)
@@ -169,6 +202,15 @@ def test_conv2d_float32_weight_gradient_over_blocks():
     conv.forward(x, train=True)
     conv.backward(grad_out)
     assert np.max(np.abs(conv.weights_grad - dw)) <= 1e-5 * np.max(np.abs(dw))
+
+    _assert_spans_blocks(b, c * h * w * 4, layers._BLOCK_BYTES)  # 2x2/2 columns: the input's size
+    pool = PerceptronPool(2, 2, init="glorot", rng=rng)
+    grad_out = rng.normal(size=(b, c, h // 2, w // 2)).astype(np.float32)
+    dw = np.array([[np.sum(grad_out.astype(np.float64) * x[:, :, dy::2, dx::2]) for dx in range(2)]
+                   for dy in range(2)])
+    pool.forward(x, train=True)
+    pool.backward(grad_out)
+    assert np.max(np.abs(pool.weights_grad[0, 0] - dw)) <= 1e-5 * np.max(np.abs(dw))
 
 
 @pytest.mark.parametrize("make, train, out_shape", [

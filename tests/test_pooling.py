@@ -412,28 +412,6 @@ class TestStackMatchesComposition:
             if use_bias:
                 np.testing.assert_allclose(bias_grad, layer.bias_grad, atol=1e-12, rtol=0)
 
-    def test_identity_stack_saves_only_first_columns(self):
-        # An identity stack is one composed map: its training forward keeps
-        # the first layer's 2x2 columns (x.size values), never the 16-unit
-        # intermediate (4x that), which a ReLU stack must keep.
-        def saved_sizes(stack):
-            sizes, todo = [], [stack._saved]
-            while todo:
-                obj = todo.pop()
-                if isinstance(obj, np.ndarray):
-                    sizes.append(obj.size)
-                elif isinstance(obj, (list, tuple)):
-                    todo.extend(obj)
-            return sizes
-
-        x = np.random.default_rng(23).normal(size=(2, 3, 16, 16))
-        identity = nn_16_1(init="glorot", rng=np.random.default_rng(24))
-        relu = nn_16_1(activation="relu", init="glorot", rng=np.random.default_rng(24))
-        identity.forward(x)
-        relu.forward(x)
-        assert max(saved_sizes(identity)) == x.size
-        assert max(saved_sizes(relu)) == 4 * x.size
-
     def test_grad_out_shape_checked(self):
         stack = nn_16_1()
         stack.forward(np.zeros((1, 1, 8, 8)))
@@ -441,7 +419,30 @@ class TestStackMatchesComposition:
             stack.backward(np.zeros((1, 1, 8, 8)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PerceptronPool(2, 2, init="glorot", rng=np.random.default_rng(24), dtype=np.float64),
+    lambda: nn_16_1(init="glorot", rng=np.random.default_rng(24)),
+    lambda: nn_16_1(activation="relu", init="glorot", rng=np.random.default_rng(24)),
+], ids=["perceptron", "nn_16_1", "relu_nn_16_1"])
+def test_training_forward_saves_only_its_input(make):
+    """A slot's training forward keeps its input and nothing else: no
+    columns, and no unit planes even behind a ReLU, which the backward
+    rebuilds block by block from the input."""
+    slot = make()
+    x = np.random.default_rng(23).normal(size=(2, 3, 16, 16))
+    slot.forward(x)
+    assert slot._saved[0] is x
+
+
 class TestUpsample:
+    def test_training_forward_saves_only_its_padded_input(self):
+        up = PerceptronUpsample(window=3, units=4, dtype=np.float64)
+        x = np.random.default_rng(25).normal(size=(2, 3, 8, 8))
+        up.forward(x)
+        saved = up._saved[0]
+        assert isinstance(saved, np.ndarray)
+        np.testing.assert_array_equal(saved, np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))))
+
     def test_unit_window_replicates_like_nearest_neighbor(self):
         up = PerceptronUpsample(window=1, units=4, dtype=np.float64)
         up.bind(1, 2, 2)
