@@ -67,6 +67,8 @@ def build_check_layer(spec: str):
 
 
 def cmd_train(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     cfg = load_config(args.config)
     if args.data:
         # replace() reruns the config checks: a synth config rejects data.root.

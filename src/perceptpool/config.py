@@ -206,6 +206,8 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if (first := first_line.setdefault(key, lineno)) != lineno:
+            raise ValueError(f"lines {first} and {lineno} both set {key}")
         if key in RETIRED:
             if raw != RETIRED[key]:
                 raise ValueError(f"line {lineno}: {key} is retired; only its old default "
@@ -213,10 +215,8 @@ def parse_config(text: str) -> TrainConfig:
             continue
         if key not in _KEYMAP:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key in first_line:
-            raise ValueError(f"lines {first_line[key]} and {lineno} both set {key}")
         try:
-            values[_KEYMAP[key].name], first_line[key] = _coerce(_KEYMAP[key], raw), lineno
+            values[_KEYMAP[key].name] = _coerce(_KEYMAP[key], raw)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {key}: {e}") from None
     return TrainConfig(**values)

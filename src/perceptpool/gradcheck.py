@@ -41,14 +41,6 @@ class GradReport:
         return max(g.max_rel_err for g in self.groups)
 
     @property
-    def max_abs_err(self) -> float:
-        return max(g.max_abs_err for g in self.groups)
-
-    @property
-    def worst(self) -> GroupReport:
-        return max(self.groups, key=lambda g: g.max_rel_err)
-
-    @property
     def passed(self) -> bool:
         return self.max_rel_err < self.tolerance
 

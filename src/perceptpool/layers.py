@@ -16,8 +16,8 @@ Conventions shared by all layers:
   - every windowed layer (Conv2d, FixedPool and the perceptron chains of
     pooling.py) walks cache-sized batch blocks with _block_columns, which
     im2cols each into one reused buffer, then GEMMs, reduces or contracts
-    it straight into the block's BCHW output, and returns each block's
-    input gradient through the adjoint col2im; at window = stride = q,
+    it into the block's BCHW output; the adjoint col2im writes each block's
+    input gradient into an array the caller owns; at window = stride = q,
     col2im is the perceptron layers' depth-to-space and im2col its inverse;
   - none keeps columns: a training forward keeps its (padded) input, and
     the backward rebuilds each block's columns from it.
@@ -90,24 +90,25 @@ def im2col(x: np.ndarray, wh: int, ww: int, stride: int, out: np.ndarray | None 
     return cols
 
 
-def col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
+def col2im(cols: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
     """Adjoint of im2col: put each offset plane of cols (wh, ww, N, ..., oH, oW)
-    back in place in an array of the input `shape`; overlapping windows sum
-    and what no window covers is zero."""
+    back in place in `out` (N, ..., H, W, any view) and return it; overlapping
+    windows sum and what no window covers is zero."""
     wh, ww = cols.shape[:2]
     oh, ow = cols.shape[-2:]
     # Windows that tile the input exactly each own their pixels, so their
-    # planes are assigned into an empty array; otherwise they add onto zeros.
-    tiles = wh == ww == stride and tuple(shape[-2:]) == (oh * stride, ow * stride)
-    x = (np.empty if tiles else np.zeros)(shape, dtype=cols.dtype)
+    # planes are assigned; otherwise they add onto zeros.
+    tiles = wh == ww == stride and out.shape[-2:] == (oh * stride, ow * stride)
+    if not tiles:
+        out[...] = 0
     for dy in range(wh):
         for dx in range(ww):
-            view = _window(x, dy, dx, stride, oh, ow)
+            view = _window(out, dy, dx, stride, oh, ow)
             if tiles:
                 view[...] = cols[dy, dx]
             else:
                 view += cols[dy, dx]
-    return x
+    return out
 
 
 def _block_columns(x, wh, ww, stride, axis, budget):
@@ -234,7 +235,7 @@ class Conv2d(Layer):
 
     def _backward(self, grad_out, xp):
         c, b, hp, wp = xp.shape
-        o, p = self.out_channels, self.pad
+        o, p, s = self.out_channels, self.pad, self.stride
         kh, kw = self.kernel
         oh, ow = grad_out.shape[2:]
         go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, b, oh * ow)
@@ -243,11 +244,11 @@ class Conv2d(Layer):
         gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
         wm_t = self._weight_matrix().T
         gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, go))
-        for blk, cb in _block_columns(xp, kh, kw, self.stride, 1, _GEMM_BLOCK_BYTES):
+        for blk, cb in _block_columns(xp, kh, kw, s, 1, _GEMM_BLOCK_BYTES):
             nb = blk.stop - blk.start
             gob = go[:, blk].reshape(o, -1)
             gw += (gob @ cb.reshape(wm_t.shape[0], -1).T).reshape(gw.shape)
-            gxb = col2im((wm_t @ gob).reshape(kh, kw, c, nb, oh, ow), (c, nb, hp, wp), self.stride)
+            gxb = col2im((wm_t @ gob).reshape(kh, kw, c, nb, oh, ow), s, np.empty((c, nb, hp, wp), gx.dtype))
             gx[blk] = gxb[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
         return gx
 
@@ -282,7 +283,8 @@ class FixedPool(Layer):
         wh, ww = self.window
         s = self.stride
         if self.mode == "average":
-            return col2im(np.broadcast_to(grad_out / (wh * ww), (wh, ww, *grad_out.shape)), saved, s)
+            g = grad_out / (wh * ww)
+            return col2im(np.broadcast_to(g, (wh, ww, *g.shape)), s, np.empty(saved, g.dtype))
         x = saved.astype(grad_out.dtype, copy=False)  # windows in the gradient's dtype
         gx = np.empty(x.shape, dtype=grad_out.dtype)
         for blk, cb in _block_columns(x, wh, ww, s, 0, _BLOCK_BYTES):
@@ -299,7 +301,7 @@ class FixedPool(Layer):
                     hit &= free
                     free ^= hit
                     np.multiply(hit, g, out=cb[dy, dx])
-            gx[blk] = col2im(cb, (len(g), *x.shape[1:]), s)
+            col2im(cb, s, gx[blk])
         return gx
 
 
@@ -320,12 +322,10 @@ class BatchNorm2d(Layer):
     running statistics in eval mode."""
 
     eps = 1e-5
+    momentum = 0.1
 
-    def __init__(self, channels: int, momentum: float = 0.1, dtype=np.float32, name: str = "bn"):
-        if not (0.0 < momentum < 1.0):
-            raise ValueError("momentum must be in (0, 1)")
+    def __init__(self, channels: int, dtype=np.float32, name: str = "bn"):
         self.channels = int(channels)
-        self.momentum = momentum
         self.name = name
         self.gamma = np.ones(self.channels, dtype=dtype)
         self.beta = np.zeros(self.channels, dtype=dtype)

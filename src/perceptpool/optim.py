@@ -71,12 +71,13 @@ class SGD(_Optimizer):
 class Adam(_Optimizer):
     """Bias-corrected Adam (Kingma & Ba 2015)."""
 
+    eps = 1e-8
+
     def __init__(self, groups, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 weight_decay: float = 0.0):
         super().__init__(groups, lr, weight_decay)
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self._m = [np.zeros_like(g.param) for g in self.groups]
         self._v = [np.zeros_like(g.param) for g in self.groups]
         self._t = 0  # steps taken; every group steps together

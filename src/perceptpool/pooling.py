@@ -192,7 +192,7 @@ class _Chain(Layer):
         for blk, units in self._block_units(x):
             for piece, maps in pieces:
                 units = _piece_forward(piece, maps, units)
-            out[blk] = col2im(units.reshape(q, q, *units.shape[1:]), out[blk].shape, q)
+            col2im(units.reshape(q, q, *units.shape[1:]), q, out[blk])
         return out, x
 
     def _backward(self, grad_out, x):
@@ -208,7 +208,7 @@ class _Chain(Layer):
             grad = grad.reshape(q * q, *grad.shape[2:])
             for i, (piece, maps) in reversed(list(enumerate(pieces))):
                 grad = _piece_backward(piece, maps, grad, *acts[i : i + 2])
-            gx[blk] = col2im(grad.reshape(*self.layers[0].window, *grad.shape[1:]), gx[blk].shape, s)
+            col2im(grad.reshape(*self.layers[0].window, *grad.shape[1:]), s, gx[blk])
         (pt, pb), (pl, pr) = self._pads
         return gx[:, :, pt : gx.shape[2] - pb, pl : gx.shape[3] - pr]
 

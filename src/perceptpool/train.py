@@ -72,6 +72,8 @@ def evaluate_model(model: Sequential, x: np.ndarray, y: np.ndarray, batch_size: 
     `batch_size` is the number of images per `model.forward` call. It does
     not bound memory: `Sequential` runs an eval forward in cache-sized
     blocks whatever the batch."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(x) != len(y):
         raise ValueError(f"{len(x)} images but {len(y)} labels")
     if len(y) == 0:
@@ -240,15 +242,8 @@ def _read_checkpoint(f) -> tuple[Sequential, TrainConfig]:
     return model, cfg
 
 
-def evaluate_checkpoint(path, val_x=None, val_y=None) -> float:
-    """Accuracy of a stored model; with no explicit data the checkpoint's
-    own config decides what to evaluate on."""
+def evaluate_checkpoint(path) -> float:
+    """Accuracy of a stored model on the validation split of its own config."""
     model, cfg = load_checkpoint(path)
-    if val_x is None:
-        dataset = prepare_data(cfg)
-        val_x, val_y = dataset.val_x, dataset.val_y
-    if len(val_y) and cfg.num_classes <= int(np.max(val_y)):  # evaluate_model rejects empty data
-        raise ValueError(
-            f"checkpoint classifies {cfg.num_classes} classes but labels reach {int(np.max(val_y))}"
-        )
-    return evaluate_model(model, val_x, val_y)
+    dataset = prepare_data(cfg)
+    return evaluate_model(model, dataset.val_x, dataset.val_y)

@@ -117,6 +117,13 @@ class TestTrainEvalCommands:
                   "--data", str(tmp_path)])
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_rejected(self, tiny_config_file, tmp_path, runs):
+        with pytest.raises(ValueError, match=f"--runs must be >= 1, got {runs}"):
+            main(["train", "--config", str(tiny_config_file), "--out", str(tmp_path / "run"),
+                  "--runs", runs])
+        assert not (tmp_path / "run").exists()
+
     def test_runs_wrapper_reports_best(self, tiny_config_file, tmp_path, capsys):
         out_dir = tmp_path / "multi"
         assert main(["train", "--config", str(tiny_config_file), "--out", str(out_dir),

@@ -80,7 +80,7 @@ class TestCheckLayer:
     def test_reports_are_deterministic(self):
         def run():
             rep = check_layer(PerceptronPool(2, 2, dtype=np.float64), (1, 2, 4, 4), seed=5)
-            return rep.max_rel_err, rep.max_abs_err, rep.worst.worst_index
+            return [(g.max_rel_err, g.max_abs_err, g.worst_index) for g in rep.groups]
 
         assert run() == run()
 
@@ -93,7 +93,7 @@ class TestCheckLayer:
 
         report = check_layer(BadDense(4, 3, dtype=np.float64), (3, 4), seed=2, tolerance=1e-4)
         assert not report.passed
-        assert report.worst.name == "fc.weight"
+        assert max(report.groups, key=lambda g: g.max_rel_err).name == "fc.weight"
 
     def test_relu_inputs_resampled_away_from_kink(self):
         report = check_layer(ReLU(), (2, 3, 4, 4), seed=3, tolerance=1e-6)

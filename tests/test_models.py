@@ -84,7 +84,9 @@ class TestConfig:
         ("pooling.kind = max\npooling.kind = perceptron\n", "lines 1 and 2 both set pooling.kind"),
         ("optimizer.lr = 0.1\n# same value\noptimizer.lr = 0.1\n",
          "lines 1 and 3 both set optimizer.lr"),
-    ], ids=["same-spelling", "kind-twice", "same-value"])
+        ("pooling.sharing = global\npooling.sharing = global\n",
+         "lines 1 and 2 both set pooling.sharing"),
+    ], ids=["same-spelling", "kind-twice", "same-value", "retired-key"])
     def test_key_given_twice_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)

@@ -82,17 +82,17 @@ class TestAdam:
 
     def test_100_step_quadratic_matches_scalar_recursion(self):
         # minimize f(x) = 0.5 * 3 (x - 2)^2 from x0 = -1
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        lr, b1, b2 = 0.05, 0.9, 0.999
         theta = np.array([-1.0])
         grad = np.zeros(1)
         group = ParamGroup("x", theta, grad)
-        opt = Adam([group], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([group], lr=lr, beta1=b1, beta2=b2)
         ours = []
         for _ in range(100):
             grad[...] = 3.0 * (theta - 2.0)
             opt.step()
             ours.append(theta[0])
-        expected = adam_scalar_reference(lambda t: 3.0 * (t - 2.0), -1.0, lr, b1, b2, eps, 100)
+        expected = adam_scalar_reference(lambda t: 3.0 * (t - 2.0), -1.0, lr, b1, b2, Adam.eps, 100)
         np.testing.assert_allclose(ours, expected, atol=1e-10, rtol=0)
 
     def test_zero_lr_factor_freezes_exactly(self):

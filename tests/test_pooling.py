@@ -82,7 +82,8 @@ class TestForward:
 def depth_to_space(units, q):
     """(B, C, q*q, oH, oW) units -> (B, C, oH*q, oW*q) grid: col2im at window = stride = q."""
     b, c, _, oh, ow = units.shape
-    return col2im(np.moveaxis(units, 2, 0).reshape(q, q, b, c, oh, ow), (b, c, oh * q, ow * q), q)
+    return col2im(np.moveaxis(units, 2, 0).reshape(q, q, b, c, oh, ow), q,
+                  np.empty((b, c, oh * q, ow * q), units.dtype))
 
 
 def space_to_depth(grid, q):

@@ -265,19 +265,12 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=f"{images} images but {labels} labels"):
             evaluate_model(model, x, np.zeros(labels, dtype=int))
 
-    def test_empty_dataset_rejected_from_checkpoint(self, tmp_path):
-        cfg = tiny_config()
-        save_checkpoint(tmp_path / "m.ckpt", build_model(cfg), cfg)
-        with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
-            evaluate_checkpoint(tmp_path / "m.ckpt", np.zeros((0, 1, 16, 16), dtype=np.float32),
-                                np.zeros(0, dtype=int))
-
-    def test_class_count_mismatch_rejected(self, tmp_path):
-        result = train(tiny_config(), tmp_path)
-        bad_labels = np.array([0, 1, 7])
-        with pytest.raises(ValueError, match="classes"):
-            evaluate_checkpoint(result.checkpoint_path,
-                                np.zeros((3, 1, 16, 16), dtype=np.float32), bad_labels)
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        model = build_model(tiny_config())
+        x = np.zeros((3, 1, 16, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate_model(model, x, np.zeros(3, dtype=int), batch_size=batch_size)
 
 
 class TestCifarPipeline:
