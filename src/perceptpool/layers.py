@@ -10,7 +10,8 @@ Conventions shared by all layers:
     gradients into the layer's grad buffers (call zero_grad between steps);
   - Layer.forward drops the last saved state, then keeps (saved, output
     shape) for a training forward only; Layer.backward raises RuntimeError
-    without it and ValueError for a grad_out of another shape;
+    without it and ValueError for a grad_out of another shape, then consumes
+    it: a training forward's state lives until its backward returns;
   - pooling never pads and requires the window to tile the input exactly;
     convolution supports symmetric zero padding;
   - every windowed layer (Conv2d, FixedPool and the perceptron chains of
@@ -20,7 +21,8 @@ Conventions shared by all layers:
     input gradient into an array the caller owns; at window = stride = q,
     col2im is the perceptron layers' depth-to-space and im2col its inverse;
   - none keeps columns: a training forward keeps its (padded) input, and
-    the backward rebuilds each block's columns from it.
+    the backward rebuilds each block's columns from it (Conv2d's then
+    overwrites them with the block's column gradient).
 """
 
 from __future__ import annotations
@@ -113,15 +115,18 @@ def col2im(cols: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
 
 def _block_columns(x, wh, ww, stride, axis, budget):
     """(batch block, its im2col) for each block of about `budget` column bytes
-    along the batch axis (0 or 1) of x, all written into one reused buffer."""
+    along the batch axis (0 or 1) of x, all written into one reused buffer;
+    each block's columns are a contiguous view of it, which the caller may
+    overwrite once it is done with them."""
     *lead, h, w = x.shape
     oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
     blocks = _blocks(lead[axis], wh * ww * math.prod(lead) * oh * ow * x.itemsize, budget)
     lead[axis] = blocks[0].stop
-    buf = np.empty((wh, ww, *lead, oh, ow), dtype=x.dtype)
+    buf = np.empty(wh * ww * math.prod(lead) * oh * ow, dtype=x.dtype)
     pre = (slice(None),) * axis
     for blk in blocks:
-        out = buf[(slice(None), slice(None), *pre, slice(blk.stop - blk.start))]
+        lead[axis] = blk.stop - blk.start
+        out = buf[: wh * ww * math.prod(lead) * oh * ow].reshape(wh, ww, *lead, oh, ow)
         yield blk, im2col(x[(*pre, blk)], wh, ww, stride, out=out)
 
 
@@ -143,6 +148,8 @@ class Layer:
         if grad_out.shape != shape:
             raise ValueError(f"{self.name}: grad_out shape {grad_out.shape} does not match "
                              f"forward output {shape}")
+        # The backward consumes the state: its memory is free once this returns.
+        self._saved = None
         return self._backward(grad_out, saved)
 
     def _forward(self, x, train):
@@ -238,18 +245,20 @@ class Conv2d(Layer):
         o, p, s = self.out_channels, self.pad, self.stride
         kh, kw = self.kernel
         oh, ow = grad_out.shape[2:]
-        go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, b, oh * ow)
-        if self.bias is not None:
-            self.bias_grad += go.reshape(o, -1).sum(axis=1)
+        if self.bias is not None:  # one pairwise sum per channel, over a copy freed at once
+            self.bias_grad += grad_out.transpose(1, 0, 2, 3).reshape(o, -1).sum(axis=1)
         gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
         wm_t = self._weight_matrix().T
-        gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, go))
+        gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, grad_out))
         for blk, cb in _block_columns(xp, kh, kw, s, 1, _GEMM_BLOCK_BYTES):
             nb = blk.stop - blk.start
-            gob = go[:, blk].reshape(o, -1)
-            gw += (gob @ cb.reshape(wm_t.shape[0], -1).T).reshape(gw.shape)
-            gxb = col2im((wm_t @ gob).reshape(kh, kw, c, nb, oh, ow), s, np.empty((c, nb, hp, wp), gx.dtype))
+            gob = np.ascontiguousarray(grad_out[blk].transpose(1, 0, 2, 3)).reshape(o, -1)
+            cols = cb.reshape(wm_t.shape[0], -1)
+            gw += (gob @ cols.T).reshape(gw.shape)
+            np.matmul(wm_t, gob, out=cols)  # the column gradient, over the consumed columns
+            gxb = col2im(cb, s, np.empty((c, nb, hp, wp), gx.dtype))
             gx[blk] = gxb[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
+            del gob, gxb  # before the next block allocates its own
         return gx
 
 
@@ -349,19 +358,21 @@ class BatchNorm2d(Layer):
     def _forward(self, x, train):
         if x.shape[1] != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {x.shape[1]}")
-        # Per-channel vectors broadcast as (C, 1, 1). Each direction allocates at
-        # most two full-size arrays; reductions are ndarray.sum (pairwise).
+        # Per-channel vectors broadcast as (C, 1, 1). A training forward allocates
+        # two full-size arrays (xhat, and out, which first holds the squares), its
+        # backward one; reductions are ndarray.sum (pairwise).
         if train:
             n = x.size // self.channels
             mean = x.sum(axis=(0, 2, 3)) / n
             xhat = x - mean[:, None, None]
-            var = np.square(xhat).sum(axis=(0, 2, 3)) / n
+            out = np.square(xhat)
+            var = out.sum(axis=(0, 2, 3)) / n
             self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat *= inv_std[:, None, None]
             saved = (xhat, inv_std)
-            out = xhat * self.gamma[:, None, None]
+            np.multiply(xhat, self.gamma[:, None, None], out=out)
         else:
             saved = None
             out = x - self.running_mean[:, None, None]
@@ -372,13 +383,14 @@ class BatchNorm2d(Layer):
     def _backward(self, grad_out, saved):
         xhat, inv_std = saved
         n = grad_out.size // self.channels
-        gg = (grad_out * xhat).sum(axis=(0, 2, 3))
+        dx = grad_out * xhat  # the products until gg is summed from them, then dx
+        gg = dx.sum(axis=(0, 2, 3))
         bg = grad_out.sum(axis=(0, 2, 3))
         self.gamma_grad += gg
         self.beta_grad += bg
         # dx = inv_std * (g - sum(g)/n - xhat*sum(g*xhat)/n) with g = gamma*grad_out,
         # where sum(g) = gamma*bg and sum(g*xhat) = gamma*gg.
-        dx = xhat * (-gg / n)[:, None, None]
+        np.multiply(xhat, (-gg / n)[:, None, None], out=dx)
         dx += grad_out
         dx -= (bg / n)[:, None, None]
         dx *= (self.gamma * inv_std)[:, None, None]

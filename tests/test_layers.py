@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -509,11 +510,29 @@ def test_eval_forward_keeps_no_backward_state(make, shape):
 
 @pytest.mark.parametrize("make, shape", EVERY_LAYER_KIND.values(), ids=EVERY_LAYER_KIND.keys())
 def test_grad_out_of_right_size_but_wrong_shape_rejected(make, shape):
-    layer = make()
-    out = layer.forward(np.random.default_rng(5).normal(size=shape), train=True)
+    """backward checks grad_out before it takes the saved state, so a correct
+    call after a rejected one still gives the gradient."""
+    x = np.random.default_rng(5).normal(size=shape)
+    fresh, layer = make(), make()
+    out = layer.forward(x, train=True)
+    fresh.forward(x, train=True)
     assert out.shape[::-1] != out.shape
     with pytest.raises(ValueError, match="grad_out shape"):
         layer.backward(np.zeros(out.shape[::-1]))
+    grad = np.random.default_rng(6).normal(size=out.shape)
+    np.testing.assert_array_equal(layer.backward(grad), fresh.backward(grad))
+
+
+@pytest.mark.parametrize("make, shape", EVERY_LAYER_KIND.values(), ids=EVERY_LAYER_KIND.keys())
+def test_backward_consumes_the_saved_state(make, shape):
+    """A training forward's state lives until its backward returns: nothing
+    is held after it, and a second backward is an error naming the layer."""
+    layer = make()
+    out = layer.forward(np.random.default_rng(5).normal(size=shape), train=True)
+    layer.backward(np.ones_like(out))
+    assert layer._saved is None
+    with pytest.raises(RuntimeError, match=f"^{re.escape(layer.name)}: .*training-mode forward"):
+        layer.backward(np.ones_like(out))
 
 
 @pytest.mark.parametrize("make, good, bad", [

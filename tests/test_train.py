@@ -1,5 +1,6 @@
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,23 @@ class TestTraining:
         r1 = train(tiny_config(seed=1), tmp_path / "a", timer=FakeClock())
         r2 = train(tiny_config(seed=2), tmp_path / "b", timer=FakeClock())
         assert r1.metrics_path.read_bytes() != r2.metrics_path.read_bytes()
+
+    def test_trained_model_holds_no_activations(self, tmp_path, monkeypatch):
+        """Neither the end-of-epoch evaluation nor the returned model finds
+        any layer still holding the last step's activations."""
+        def holding(model):
+            return [layer.name for layer in model.layers if layer._saved is not None]
+
+        at_eval = []
+
+        def evaluate(model, *args):
+            at_eval.append(holding(model))
+            return evaluate_model(model, *args)
+
+        monkeypatch.setattr(sys.modules[train.__module__], "evaluate_model", evaluate)
+        result = train(tiny_config(epochs=2), tmp_path)
+        assert at_eval == [[], []]
+        assert holding(result.model) == []
 
     def test_zero_lr_factor_keeps_pooling_weights_bit_identical(self, tmp_path):
         cfg = tiny_config(pooling_lr_factor=0.0)
