@@ -75,9 +75,12 @@ def load_cifar10(root=None):
 
 
 def normalize(images, dtype=np.float32) -> np.ndarray:
-    """(x - channel mean) / 256 per channel; accepts (..., 3, H, W)."""
-    x = np.asarray(images, dtype=np.float64)
-    return ((x - CHANNEL_MEANS[:, None, None]) / SCALE).astype(dtype)
+    """(x - channel mean) / 256 per channel; accepts (..., 3, H, W). Works
+    in place on one float64 copy, so the caller's array is left as it was."""
+    x = np.array(images, dtype=np.float64)
+    x -= CHANNEL_MEANS[:, None, None]
+    x /= SCALE
+    return x.astype(dtype, copy=False)
 
 
 def augment_crop(images, rng: np.random.Generator) -> np.ndarray:

@@ -71,7 +71,9 @@ def evaluate_model(model: Sequential, x: np.ndarray, y: np.ndarray, batch_size: 
 
     `batch_size` is the number of images per `model.forward` call. It does
     not bound memory: `Sequential` runs an eval forward in cache-sized
-    blocks whatever the batch."""
+    blocks whatever the batch, on one walker per allowed CPU, each with one
+    BLAS thread. The process's BLAS thread count is restored after every
+    call, so the training steps that follow run as they did before it."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if len(x) != len(y):

@@ -7,17 +7,35 @@ they run at test sizes that span several of the library's batch blocks;
 `batchnorm_reference` keeps the textbook formulas that the two-pass
 BatchNorm2d kernel replaced. None of them shares code with the library paths
 it checks. `complexity_probe` and `loglog_slope` time a layer's forward over
-input sizes for the linear-cost check (criterion 7).
+input sizes for the linear-cost check (criterion 7). `run_python` runs a
+snippet in a fresh interpreter that imports this checkout's `perceptpool`.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from perceptpool.data import CHANNEL_MEANS, SCALE
 from perceptpool.layers import Conv2d
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, **env: str) -> str:
+    """Standard output of `code` run by a new interpreter, with `env` added
+    to the environment and `src/` first on its import path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def conv2d_loops(x, weights, bias, stride, pad):

@@ -97,6 +97,20 @@ class TestNormalize:
         back = denormalize(data.normalize(raw, dtype=np.float64))
         assert np.array_equal(back, raw)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("source", ["uint8", "float64", "strided"])
+    def test_in_place_equals_the_out_of_place_formula(self, source, dtype):
+        rng = np.random.default_rng(1)
+        raw = rng.integers(0, 256, size=(6, 3, 8, 8), dtype=np.uint8)
+        images = {"uint8": raw, "float64": raw + rng.uniform(size=raw.shape),
+                  "strided": raw[::2, :, ::2, 1::3]}[source]
+        before = images.copy()
+        expected = ((np.asarray(images, dtype=np.float64) - data.CHANNEL_MEANS[:, None, None])
+                    / data.SCALE).astype(dtype)
+        out = data.normalize(images, dtype=dtype)
+        assert out.dtype == dtype and out.tobytes() == expected.tobytes()
+        assert images.tobytes() == before.tobytes()
+
 
 class TestAugmentCrop:
     def test_center_offset_is_identity(self):

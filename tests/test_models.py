@@ -1,4 +1,8 @@
+import itertools
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,12 +13,14 @@ from hypothesis import strategies as st
 
 from perceptpool.config import (DATA_KINDS, OPTIMIZERS, POOLING_KINDS, POOLINGS, RETIRED,
                                TrainConfig, load_config, parse_config)
-from perceptpool.layers import Conv2d, _blocks, softmax_xent
-from perceptpool.models import _EVAL_BLOCK_BYTES, audit_params, build_model, rng_for
+from perceptpool import models
+from perceptpool.layers import Conv2d, Layer, _blocks, softmax_xent
+from perceptpool.models import (_BLAS_THREADS, _EVAL_BLOCK_BYTES, _WALKERS, Sequential,
+                                audit_params, build_model, rng_for)
 from perceptpool.optim import make_optimizer
-from perceptpool.pooling import MlpPoolStack, PerceptronPool
+from perceptpool.pooling import MlpPoolStack, PerceptronPool, Sharing
 
-from oracles import add_conv_biases
+from oracles import add_conv_biases, run_python
 
 
 NON_DEFAULT_POOLING = {"window": 4, "stride": 4, "units": 4,
@@ -477,8 +483,39 @@ def layer_walk(model, x):
     return x
 
 
+def blas_threads():
+    """The process's BLAS thread count, or None without an OpenBLAS."""
+    return None if _BLAS_THREADS is None else _BLAS_THREADS[0]()
+
+
+class SpyLayer(Layer):
+    """Identity that records the thread and the BLAS thread count of every
+    call, raises on call `fail_at`, and otherwise sleeps `pause` seconds."""
+
+    name = "spy"
+
+    def __init__(self, fail_at=None, pause=0.005):
+        self.threads, self.blas_threads = [], []
+        self.fail_at, self.pause = fail_at, pause
+        self._calls = itertools.count(1)
+
+    def _forward(self, x, train):
+        self.threads.append(threading.get_ident())
+        self.blas_threads.append(blas_threads())
+        if next(self._calls) == self.fail_at:
+            raise ValueError(f"spy: call {self.fail_at}")
+        time.sleep(self.pause)  # so that every walker takes blocks
+        return x, None
+
+
+def one_image_blocks(n):
+    """n images of exactly one eval block each."""
+    return np.arange(n * _EVAL_BLOCK_BYTES // 4, dtype=np.float32).reshape(n, -1)
+
+
 class TestBlockedEval:
-    """An eval forward runs the batch in blocks, each through every layer."""
+    """An eval forward runs the batch in blocks, each through every layer,
+    on every eval walker."""
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("model_name", ["model_a_like", "model_c_like"])
@@ -504,8 +541,75 @@ class TestBlockedEval:
                                      for blk in _blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)])
         assert model.forward(x, train=False).tobytes() == one_by_one.tobytes()
 
+    def test_repeated_forwards_give_identical_bytes(self):
+        model = build_model(TrainConfig(model="model_c_like", pooling_kind="nn_16_1",
+                                        data_kind="cifar10", seed=3))
+        x = np.random.default_rng(7).normal(size=(61, 3, 32, 32)).astype(np.float32)
+        first = model.forward(x, train=False).tobytes()
+        assert all(model.forward(x, train=False).tobytes() == first for _ in range(9))
+
+    @pytest.mark.skipif(_WALKERS == 1, reason="one eval walker: one allowed CPU or no OpenBLAS found")
+    def test_blocks_run_on_every_walker_with_one_blas_thread(self):
+        spy = SpyLayer()
+        x = one_image_blocks(20)
+        assert Sequential([spy]).forward(x, train=False).tobytes() == x.tobytes()
+        assert len(spy.threads) == 20 and len(set(spy.threads)) > 1
+        assert spy.blas_threads == [1] * 20
+
+    def test_more_walkers_than_cores_run_each_block_once(self, monkeypatch):
+        monkeypatch.setattr(models, "_WALKERS", 8)
+        monkeypatch.setattr(models, "_EVAL_BLOCK_BYTES", 64)
+        spy, x = SpyLayer(pause=0), np.arange(4000 * 16, dtype=np.float32).reshape(4000, 16)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=lambda: out.append(Sequential([spy]).forward(x, train=False)))
+            run.start()
+            run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert len(spy.threads) == 4000 and out[0].tobytes() == x.tobytes()
+
+    def test_lazy_binding_happens_once_before_the_walkers(self):
+        def model():
+            return Sequential([PerceptronPool(sharing=Sharing.PER_TENSOR, init="glorot",
+                                              rng=np.random.default_rng(9))])
+        x = multi_block_batch(np.float32)
+        for _ in range(5):  # a race between two binds need not show on every try
+            first, twin = model(), model()
+            twin.forward(x[:1], train=False)
+            logits = first.forward(x, train=False)
+            assert first.layers[0].weights.tobytes() == twin.layers[0].weights.tobytes()
+            assert logits.tobytes() == twin.forward(x, train=False).tobytes()
+
+    def test_walker_error_reraises_and_blas_threads_are_restored(self):
+        before = blas_threads()
+        Sequential([SpyLayer()]).forward(one_image_blocks(8), train=False)
+        assert blas_threads() == before
+        with pytest.raises(ValueError, match="spy: call 3"):
+            Sequential([SpyLayer(fail_at=3)]).forward(one_image_blocks(8), train=False)
+        assert blas_threads() == before
+
+    @pytest.mark.skipif(_BLAS_THREADS is None, reason="no OpenBLAS found")
+    def test_logits_do_not_depend_on_the_blas_thread_count(self):
+        # nn_16_1 float32 results differ between one and two OpenBLAS threads
+        # in training; every eval walker runs one.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from perceptpool import TrainConfig, build_model\n"
+            "model = build_model(TrainConfig(model='model_c_like', pooling_kind='nn_16_1',\n"
+            "                                pooling_init='glorot', data_kind='cifar10', seed=3))\n"
+            "x = np.random.default_rng(6).normal(size=(31, 3, 32, 32)).astype(np.float32)\n"
+            "print(hashlib.sha256(model.forward(x, train=False).tobytes()).hexdigest())\n"
+        )
+        one, two = (run_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert one == two
+
     def test_peak_memory_below_one_whole_batch_activation(self):
-        # Five blocks, so the peak is one block's activations, not the input.
+        # Ten blocks on the walkers, so the peak is a few blocks' activations,
+        # not the input.
         model = build_model(TrainConfig(model="model_c_like", pooling_kind="max", data_kind="cifar10"))
         x = np.random.default_rng(6).normal(size=(100, 3, 32, 32)).astype(np.float32)
         conv1_out_bytes = len(x) * 64 * 32 * 32 * x.itemsize

@@ -2,12 +2,23 @@ from pathlib import Path
 
 import perceptpool
 
+from oracles import run_python
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_export_is_an_attribute():
     assert len(set(perceptpool.__all__)) == len(perceptpool.__all__)
     assert [name for name in perceptpool.__all__ if not hasattr(perceptpool, name)] == []
+
+
+def test_import_starts_no_thread():
+    # Eval walker threads exist only during a multi-block eval forward.
+    out = run_python("import threading\n"
+                     "before = threading.active_count()\n"
+                     "import perceptpool, perceptpool.models\n"
+                     "print(threading.active_count() - before)\n")
+    assert out.split() == ["0"]
 
 
 def test_benchmark_builds_every_workload(tmp_path, monkeypatch):
