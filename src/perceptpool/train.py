@@ -9,8 +9,9 @@ metrics files byte for byte.
 
 from __future__ import annotations
 
-import struct
+import os
 import time
+import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,10 +23,7 @@ from .config import TrainConfig, parse_config
 from .models import Sequential, build_model, rng_for
 from .layers import softmax_xent
 from .optim import make_optimizer
-from .tensor import read_exact, read_tensor, write_tensor
 
-CHECKPOINT_MAGIC = b"PPOOLCK1"
-CHECKPOINT_VERSION = 1
 METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,lr,wall_seconds"
 
 
@@ -181,67 +179,72 @@ def train(cfg: TrainConfig, out_dir, timer=time.perf_counter, log=None) -> Train
     return TrainResult(checkpoint_path, metrics_path, rows, model, val_acc)
 
 
-# ---------------------------------------------------------------------------
-# Checkpoints: magic, version, config echo, ordered tensors (dims + payload)
-# ---------------------------------------------------------------------------
-
-def _as_rank4(arr: np.ndarray) -> np.ndarray:
-    shape = (1,) * (4 - arr.ndim) + arr.shape
-    return arr.reshape(shape)
-
+# Checkpoints: one np.savez archive, a zip with a CRC-32 per member: `config`
+# (the config echo, UTF-8 as uint8) and each float32 state tensor by its name.
 
 def save_checkpoint(path, model: Sequential, cfg: TrainConfig) -> None:
-    tensors = model.state_tensors()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        blob = cfg.to_text().encode()
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<Q", len(tensors)))
-        for _, arr in tensors:
-            write_tensor(f, _as_rank4(np.asarray(arr, dtype=np.float32)))
+    """Write to `path`.tmp, fsync, then os.replace: a failed write keeps the old file."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:  # np.savez would append ".npz" to a path
+            np.savez(f, config=np.frombuffer(cfg.to_text().encode(), dtype=np.uint8),
+                     **{name: np.asarray(arr, dtype="<f4") for name, arr in model.state_tensors()})
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[Sequential, TrainConfig]:
-    """Rebuild the stored model; any malformed content raises a ValueError
-    that starts with the path."""
+    """Rebuild the stored model; malformed content raises a ValueError naming the path."""
     try:
         with open(path, "rb") as f:
             return _read_checkpoint(f)
-    except ValueError as e:
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
 def _read_checkpoint(f) -> tuple[Sequential, TrainConfig]:
-    magic = f.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint (bad magic {magic!r})")
-    (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<Q", read_exact(f, 8, "config length"))
-    blob = read_exact(f, cfg_len, "config")
-    try:
-        cfg = parse_config(blob.decode())
-    except ValueError as e:
-        raise ValueError(f"config: {e}") from None
-    (count,) = struct.unpack("<Q", read_exact(f, 8, "tensor count"))
-    model = build_model(cfg)
-    tensors = model.state_tensors()
-    if count != len(tensors):
-        raise ValueError(f"{count} tensors recorded, model has {len(tensors)}")
-    for name, arr in tensors:
+    if (magic := f.read(4)) != b"PK\x03\x04":
+        raise ValueError(f"not a checkpoint archive (bad magic {magic!r})")
+    size = f.seek(0, 2)
+    f.seek(max(size - 22, 0))  # np.savez writes no archive comment
+    if f.read(4) != b"PK\x05\x06":
+        raise ValueError("no end record in the last 22 bytes: truncated, or bytes after the archive")
+    with zipfile.ZipFile(f) as archive:
+        if any(info.compress_size > size for info in archive.infolist()):
+            raise ValueError(f"a member states more bytes than the file's {size}")
+        echo = _read_member(archive, "config", np.dtype("u1")).tobytes()
         try:
-            stored = read_tensor(f, dtype=np.float32)
+            cfg = parse_config(echo.decode())
         except ValueError as e:
-            raise ValueError(f"{name}: {e}") from None
-        if stored.shape != _as_rank4(arr).shape:
-            raise ValueError(f"{name}: stored shape {stored.shape}, model has {_as_rank4(arr).shape}")
-        arr[...] = stored.reshape(arr.shape).astype(arr.dtype)
-    if tail := len(f.read()):
-        raise ValueError(f"{tail} bytes after the last tensor")
+            raise ValueError(f"config: {e}") from None
+        model = build_model(cfg)
+        tensors = model.state_tensors()
+        wanted = sorted(["config.npy"] + [f"{name}.npy" for name, _ in tensors])
+        if (stored := sorted(archive.namelist())) != wanted:
+            raise ValueError(f"{len(stored) - 1} tensors recorded, model has {len(tensors)} "
+                             f"(members that differ: {sorted(set(stored) ^ set(wanted))})")
+        for name, arr in tensors:
+            arr[...] = _read_member(archive, name, np.dtype("<f4"), arr.shape)
     return model, cfg
+
+
+def _read_member(archive, name, dtype, shape=None) -> np.ndarray:
+    """Member `name`, its .npy header checked against `dtype` and `shape` (None:
+    any 1-D) before the payload is read to its end, where zipfile checks the CRC
+    (a payload of the wrong size then fails to reshape)."""
+    try:
+        with archive.open(f"{name}.npy") as f:
+            np.lib.format.read_magic(f)  # a header other than 1.0 fails to parse below
+            stored, fortran_order, stored_dtype = np.lib.format.read_array_header_1_0(f)
+            if (stored_dtype, fortran_order, stored) != (dtype, False, shape or stored[:1]):
+                raise ValueError(f"stored {stored_dtype} {stored}{' in Fortran order' * fortran_order}, "
+                                 f"expected {dtype} {shape or '(n,)'}")
+            return np.frombuffer(f.read(), dtype=dtype).reshape(stored)
+    except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{name}: {e}") from None
 
 
 def evaluate_checkpoint(path) -> float:

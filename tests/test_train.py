@@ -1,12 +1,15 @@
+import io
 import re
 import struct
 import sys
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
 from perceptpool import data as data_mod
-from perceptpool.config import TrainConfig
+from perceptpool.config import POOLING_KINDS, TrainConfig
 from perceptpool.models import build_model
 from perceptpool.pooling import PerceptronPool
 from perceptpool.train import (TrainingDiverged, _diagnose_nonfinite, evaluate_checkpoint,
@@ -21,6 +24,28 @@ def tiny_config(**overrides):
                 batch_size=50, data_synth_train=200, data_synth_val=100)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def archive_members(model, echo):
+    """The members save_checkpoint writes, with `echo` as the config."""
+    return {"config": np.frombuffer(echo.encode(), dtype=np.uint8),
+            **{name: arr for name, arr in model.state_tensors()}}
+
+
+def with_npy_header(src, dst, member, header):
+    """Copy archive `src` to `dst` with `member`'s .npy header replaced; the
+    payload is kept, and zipfile writes a CRC that matches the new bytes."""
+    with zipfile.ZipFile(src) as archive, zipfile.ZipFile(dst, "w") as out:
+        for info in archive.infolist():
+            data = archive.read(info)
+            if info.filename == f"{member}.npy":
+                src_f = io.BytesIO(data)
+                np.lib.format.read_magic(src_f)
+                np.lib.format.read_array_header_1_0(src_f)
+                head = io.BytesIO()
+                np.lib.format.write_array_header_1_0(head, header)
+                data = head.getvalue() + src_f.read()
+            out.writestr(info.filename, data)
 
 
 class FakeClock:
@@ -152,87 +177,117 @@ class TestCheckpoints:
         path = tmp_path / "full.ckpt"
         save_checkpoint(path, build_model(cfg), cfg)
         raw = path.read_bytes()
-        blob_len = len(cfg.to_text().encode())
-        config_end = 8 + 4 + 8 + blob_len
-        cuts = {  # byte offset inside each section of the file
-            "magic": 3,
-            "version": 8 + 2,
-            "config length": 8 + 4 + 5,
-            "config": 8 + 4 + 8 + blob_len // 2,
-            "tensor count": config_end + 4,
-            "tensor header": config_end + 8 + 16,
-            "tensor payload": config_end + 8 + 32 + 2,
-        }
-        for section, cut in cuts.items():
+        with zipfile.ZipFile(path) as archive:
+            starts = [info.header_offset for info in archive.infolist()]
+        cuts = {*range(0, len(raw), 97), *starts, *(s + 40 for s in starts),
+                *(len(raw) - k for k in (1, 21, 22, 23, 100))}
+        for cut in sorted(cuts - {len(raw)}):
             bad = tmp_path / f"cut_{cut}.ckpt"
             bad.write_bytes(raw[:cut])
-            with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: ")) as err:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: ") + "(.*bad magic|no end record)"):
                 load_checkpoint(bad)
-            if section != "magic":
-                assert f"truncated {section}" in str(err.value), (section, err.value)
 
-    def test_bytes_after_last_tensor_name_the_file(self, tmp_path):
+    def test_bytes_after_the_archive_name_the_file(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "tail.ckpt"
         save_checkpoint(path, build_model(cfg), cfg)
         path.write_bytes(path.read_bytes() + b"garbage tail")
-        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: 12 bytes after the last tensor")):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: no end record")):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("section,value", [
-        ("config length", struct.pack("<Q", 2**62)),
-        ("config length", struct.pack("<Q", 2**63)),
-        ("tensor header", struct.pack("<4Q", 2**59, 1, 1, 1)),
-    ], ids=["config_len_2^62", "config_len_2^63", "tensor_dims_2^59"])
-    def test_oversized_length_field_names_the_file(self, tmp_path, section, value):
-        # a stated length is checked against the bytes left before it is read
+    @pytest.mark.parametrize("member,descr,shape", [
+        ("conv1.weight", "<f4", (2**59,)),
+        ("conv1.weight", "<f4", (1, 8, 3, 3)),  # same size, the model has (8, 1, 3, 3)
+        ("conv1.weight", "<f8", (8, 1, 3, 3)),
+        ("config", "|u1", (2**62,)),
+    ], ids=["tensor_2^59", "tensor_permuted", "tensor_float64", "config_2^62"])
+    def test_stored_shape_or_dtype_names_the_file_and_member(self, tmp_path, member, descr, shape):
+        # a tensor's header is checked against the model before its payload is
+        # read, and no payload is read past the end of its member
         cfg = tiny_config()
         path = tmp_path / "full.ckpt"
         save_checkpoint(path, build_model(cfg), cfg)
-        raw = path.read_bytes()
-        at = 8 + 4 if section == "config length" else 8 + 4 + 8 + len(cfg.to_text().encode()) + 8
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw[:at] + value + raw[at + len(value):])
-        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: ")):
+        with_npy_header(path, bad, member, {"descr": descr, "fortran_order": False, "shape": shape})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: {member}: ")):
+                load_checkpoint(bad)
+            assert tracemalloc.get_traced_memory()[1] < 2**24
+        finally:
+            tracemalloc.stop()
+
+    def test_oversized_member_size_names_the_file(self, tmp_path):
+        # the central directory's compressed size of the first member, set past the file's end
+        cfg = tiny_config()
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(path, build_model(cfg), cfg)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"PK\x01\x02") + 20
+        raw[at:at + 4] = struct.pack("<I", 2**32 - 2)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: a member states more bytes")):
             load_checkpoint(bad)
 
-    def test_permuted_tensor_dims_name_the_file_and_tensor(self, tmp_path):
-        # same size, other shape: conv1.weight (8, 1, 3, 3) stored as (1, 8, 3, 3)
+    def test_flipped_payload_byte_names_the_file_and_tensor(self, tmp_path):
         cfg = tiny_config()
+        model = build_model(cfg)
         path = tmp_path / "full.ckpt"
-        save_checkpoint(path, build_model(cfg), cfg)
-        raw = path.read_bytes()
-        at = 8 + 4 + 8 + len(cfg.to_text().encode()) + 8
-        assert struct.unpack("<4Q", raw[at:at + 32]) == (8, 1, 3, 3)
+        save_checkpoint(path, model, cfg)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(model.layers[0].weights.tobytes()) + 10
+        raw[at] ^= 0x01
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw[:at] + struct.pack("<4Q", 1, 8, 3, 3) + raw[at + 32:])
-        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: conv1.weight")):
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: conv1.weight: ") + ".*CRC"):
             load_checkpoint(bad)
+
+    def test_v1_checkpoint_fails_with_bad_magic(self, tmp_path):
+        # the retired layout: magic, uint32 version, uint64 echo length, echo, tensors
+        echo = tiny_config().to_text().encode()
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"PPOOLCK1" + struct.pack("<IQ", 1, len(echo)) + echo + struct.pack("<Q", 0))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*bad magic b'PPOO'"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        path = tmp_path / "checkpoint.ckpt"
+        save_checkpoint(path, build_model(cfg), cfg)
+        before = path.read_bytes()
+
+        def savez(f, **members):
+            f.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, build_model(tiny_config(seed=12)), cfg)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.ckpt"]
 
     def test_echo_that_no_longer_parses_names_the_file_and_config(self, tmp_path):
         cfg = tiny_config()
-        path = tmp_path / "full.ckpt"
-        save_checkpoint(path, build_model(cfg), cfg)
-        raw = path.read_bytes()
-        assert raw.count(b"\nepochs = 3\n") == 1
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw.replace(b"\nepochs = 3\n", b"\nepochs = 0\n"))  # same length
+        echo = cfg.to_text().replace("\nepochs = 3\n", "\nepochs = 0\n")
+        assert echo != cfg.to_text()
+        with bad.open("wb") as f:
+            np.savez(f, **archive_members(build_model(cfg), echo))
         with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: config: epochs must be >= 1")):
             load_checkpoint(bad)
 
     def test_older_echo_with_retired_keys_loads(self, tmp_path):
         # older checkpoints echo pooling.sharing, upsample.kind and upsample.units
         result = train(tiny_config(), tmp_path / "run")
-        raw = result.checkpoint_path.read_bytes()
-        (blob_len,) = struct.unpack("<Q", raw[12:20])
-        echo = raw[20:20 + blob_len].decode()
+        echo = tiny_config().to_text()
         old_echo = (echo.replace("pooling.units = 1\n", "pooling.units = 1\npooling.sharing = global\n")
                     .replace("pooling.init = average\n",
                              "pooling.init = average\nupsample.kind = \nupsample.units = 4\n"))
         assert old_echo.count("\n") == echo.count("\n") + 3
         old = tmp_path / "old.ckpt"
-        old.write_bytes(raw[:12] + struct.pack("<Q", len(old_echo)) + old_echo.encode()
-                        + raw[20 + blob_len:])
+        with old.open("wb") as f:
+            np.savez(f, **archive_members(result.model, old_echo))
         assert load_checkpoint(old)[1] == tiny_config()
         assert evaluate_checkpoint(old) == result.final_val_acc
 
@@ -244,21 +299,23 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*tensors recorded"):
             load_checkpoint(path)
 
-    def test_state_includes_batchnorm_running_stats(self, tmp_path):
-        cfg = TrainConfig(model="model_a_like", pooling_kind="average", data_kind="synth",
-                          epochs=1, batch_size=10, data_synth_train=20, data_synth_val=10,
-                          data_classes=2)
-        # model_a_like expects 3-channel input; synth is single channel, so
-        # build/save/load directly instead of training
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_model_a_roundtrip_is_bit_exact_for_every_pooling_kind(self, tmp_path, kind):
+        cfg = TrainConfig(model="model_a_like", pooling_kind=kind, data_kind="cifar10")
         model = build_model(cfg)
-        names = [n for n, _ in model.state_tensors()]
-        assert "bn1.running_mean" in names and "bn2.running_var" in names
-        model.forward(np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32))
+        rng = np.random.default_rng(0)
+        model.forward(rng.normal(size=(2, 3, 32, 32)).astype(np.float32))  # running statistics
+        for _, arr in model.state_tensors():
+            arr += rng.normal(size=arr.shape).astype(arr.dtype)
         save_checkpoint(tmp_path / "m.ckpt", model, cfg)
-        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
-        np.testing.assert_array_equal(
-            loaded.layers[1].running_mean, model.layers[1].running_mean
-        )
+        loaded, loaded_cfg = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded_cfg == cfg
+        stored = loaded.state_tensors()
+        names = [name for name, _ in stored]
+        assert names == [name for name, _ in model.state_tensors()]
+        assert "bn1.running_mean" in names and "bn2.running_var" in names
+        for (name, old), (_, new) in zip(model.state_tensors(), stored):
+            assert old.shape == new.shape and old.tobytes() == new.tobytes(), name
 
     def test_chance_level_for_random_model(self):
         cfg = TrainConfig(model="tiny_synth", pooling_kind="perceptron", data_classes=2)
