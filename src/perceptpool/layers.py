@@ -15,19 +15,34 @@ Conventions shared by all layers:
   - pooling never pads and requires the window to tile the input exactly;
     convolution supports symmetric zero padding;
   - every windowed layer (Conv2d, FixedPool and the perceptron chains of
-    pooling.py) walks cache-sized batch blocks with _block_columns, which
-    im2cols each into one reused buffer, then GEMMs, reduces or contracts
-    it into the block's BCHW output; the adjoint col2im writes each block's
-    input gradient into an array the caller owns; at window = stride = q,
-    col2im is the perceptron layers' depth-to-space and im2col its inverse;
+    pooling.py) maps cache-sized batch blocks with _map_columns, which
+    im2cols each into its walker's own buffer, then GEMMs, reduces or
+    contracts it into the block's BCHW output; the adjoint col2im writes each
+    block's input gradient into an array the caller owns; at window = stride
+    = q, col2im is the perceptron layers' depth-to-space and im2col its
+    inverse;
   - none keeps columns: a training forward keeps its (padded) input, and
     the backward rebuilds each block's columns from it (Conv2d's then
-    overwrites them with the block's column gradient).
+    overwrites them with the block's column gradient);
+  - _map_blocks runs a layer call's blocks (those of the windowed layers,
+    ReLU's batch blocks, BatchNorm2d's channel blocks, Sequential's eval
+    image blocks) on one walker per allowed CPU: the calling thread and
+    threads started for the walk. The partition never depends on the walker
+    count, and weight and bias gradients are summed from per-block partials
+    in block order after the walk, so results do not depend on which walker
+    ran a block. Inside a walker and in an eval layer call, blocks run in
+    line. The outermost layer call runs OpenBLAS at one thread for its whole
+    length, and walkers allocate from glibc's main arena.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,7 +70,7 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-# _block_columns walks the batch in blocks of about this many column bytes,
+# _map_columns maps the batch in blocks of about this many column bytes,
 # so the strided passes over a block, and the GEMM, reduction or contraction
 # that reads its columns, are served from cache instead of sweeping
 # whole-batch arrays from memory.
@@ -113,21 +128,130 @@ def col2im(cols: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_columns(x, wh, ww, stride, axis, budget):
-    """(batch block, its im2col) for each block of about `budget` column bytes
-    along the batch axis (0 or 1) of x, all written into one reused buffer;
-    each block's columns are a contiguous view of it, which the caller may
-    overwrite once it is done with them."""
+def _find_blas_threads():
+    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+_BLAS_THREADS = _find_blas_threads()
+# Walkers: the calling thread plus this many minus one threads started for a
+# walk, one per allowed CPU. Each runs single-threaded BLAS (walkers on top of
+# BLAS threads oversubscribe the CPUs and gain nothing), so without a BLAS
+# whose thread count can be set, the caller walks alone.
+_WALKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS else 1
+# Per thread, `walk`: absent outside a layer call, else whether its blocks go
+# to the walkers (not on a walker, nor in an eval call: eval is split by image).
+_local = threading.local()
+
+
+@contextmanager
+def _layer_call(walk: bool):
+    """One layer call on this thread; its block loops walk when `walk`. The
+    outermost sets BLAS to one thread for its whole length, not only for its
+    walks (a wider GEMM would wake an OpenBLAS worker that then spin-waits on
+    a CPU the walkers need), and restores the count after. Nested calls, and
+    every call on a walker, inherit both: the count is process-wide, as is
+    openblas_set_num_threads_local's in OpenBLAS 0.3.31."""
+    if hasattr(_local, "walk"):
+        yield
+        return
+    before = _BLAS_THREADS and _BLAS_THREADS[0]()
+    _local.walk = walk
+    try:
+        if before:
+            _BLAS_THREADS[1](1)
+        yield
+    finally:
+        del _local.walk
+        if before:
+            _BLAS_THREADS[1](before)
+
+
+@functools.cache
+def _one_malloc_arena():
+    """Walkers allocate from glibc's main arena (set once, before the first
+    walker starts): an arena per thread raised a training run's peak RSS by
+    12-19%, each holding freed blocks the others cannot reuse."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
+def _map_blocks(fn, blocks):
+    """[fn(blk) for blk in blocks]. In a walking layer call the blocks go, in
+    order, to the walkers as each asks for its next one, and every result to
+    its own slot, so which walker ran a block cannot change the output; a
+    walker's error re-raises here once every walker has stopped."""
+    if len(blocks) < 2 or _WALKERS == 1 or not getattr(_local, "walk", False):
+        return [fn(blk) for blk in blocks]
+    _one_malloc_arena()
+    out = [None] * len(blocks)
+    todo = iter(range(len(blocks)))  # shared: next() on a range iterator is atomic under the GIL
+    errors = []
+
+    def walk():
+        _local.walk = False
+        try:
+            for i in todo:
+                out[i] = fn(blocks[i])
+        except Exception as e:
+            errors.append(e)
+
+    walkers = [threading.Thread(target=walk) for _ in range(min(_WALKERS, len(blocks)) - 1)]
+    for w in walkers:
+        w.start()
+    try:
+        walk()
+    finally:
+        _local.walk = True
+        for w in walkers:
+            w.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _map_columns(fn, x, wh, ww, stride, axis, budget, least=1, fill=None):
+    """[fn(blk, cols) for each batch block] over blocks of about `budget`
+    column bytes, and at least `least` blocks, along the batch axis (0 or 1)
+    of x, run by _map_blocks. cols is the block's im2col, a contiguous prefix
+    of its walker's own buffer, which fn may overwrite; fill(blk), if given,
+    first writes the block's slice of x."""
     *lead, h, w = x.shape
     oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
-    blocks = _blocks(lead[axis], wh * ww * math.prod(lead) * oh * ow * x.itemsize, budget)
-    lead[axis] = blocks[0].stop
-    buf = np.empty(wh * ww * math.prod(lead) * oh * ow, dtype=x.dtype)
+    nbytes = wh * ww * math.prod(lead) * oh * ow * x.itemsize
+    blocks = _blocks(lead[axis], nbytes, min(budget, nbytes // least))
     pre = (slice(None),) * axis
-    for blk in blocks:
-        lead[axis] = blk.stop - blk.start
-        out = buf[: wh * ww * math.prod(lead) * oh * ow].reshape(wh, ww, *lead, oh, ow)
-        yield blk, im2col(x[(*pre, blk)], wh, ww, stride, out=out)
+    bufs = threading.local()  # each walker's buffer, freed when this call returns
+
+    def run(blk):
+        if fill is not None:
+            fill(blk)
+        xb = x[(*pre, blk)]
+        shape = (wh, ww, *xb.shape[:-2], oh, ow)
+        if not hasattr(bufs, "buf"):  # only the last block is shorter, and no block follows it
+            bufs.buf = np.empty(math.prod(shape), dtype=x.dtype)
+        return fn(blk, im2col(xb, wh, ww, stride, out=bufs.buf[: math.prod(shape)].reshape(shape)))
+
+    return _map_blocks(run, blocks)
 
 
 class Layer:
@@ -136,7 +260,8 @@ class Layer:
 
     def forward(self, x, train: bool = True):
         self._saved = None
-        out, saved = self._forward(x, train)
+        with _layer_call(walk=train):
+            out, saved = self._forward(x, train)
         if train:
             self._saved = (saved, out.shape)
         return out
@@ -150,7 +275,8 @@ class Layer:
                              f"forward output {shape}")
         # The backward consumes the state: its memory is free once this returns.
         self._saved = None
-        return self._backward(grad_out, saved)
+        with _layer_call(walk=True):
+            return self._backward(grad_out, saved)
 
     def _forward(self, x, train):
         """(output, saved): what _backward(grad_out, saved) needs, kept when training."""
@@ -224,41 +350,50 @@ class Conv2d(Layer):
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = self._out_dims(h, w)
         p = self.pad
-        # Pad and transpose the batch once, to channels before batch. This is
-        # all a training forward keeps: backward rebuilds each block's columns
-        # from it, which costs one im2col per block and saves the kh*kw-times
+        # The batch padded and transposed to channels before batch, each
+        # block's slice written by the walker that runs it. This is all a
+        # training forward keeps: backward rebuilds each block's columns from
+        # it, which costs one im2col per block and saves the kh*kw-times
         # larger column matrix.
         xp = np.zeros((c, b, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
         wm = self._weight_matrix()
         out = np.empty((b, self.out_channels, oh, ow), dtype=np.result_type(x, wm))
-        for blk, cb in _block_columns(xp, *self.kernel, self.stride, 1, _GEMM_BLOCK_BYTES):
+
+        def fill(blk):
+            xp[:, blk, p : p + h, p : p + w] = x[blk].transpose(1, 0, 2, 3)
+
+        def block(blk, cb):
             ob = wm @ cb.reshape(wm.shape[1], -1)  # a row-strided view, not a copy
             if self.bias is not None:
                 ob += self.bias[:, None]
             out[blk] = ob.reshape(len(ob), blk.stop - blk.start, oh, ow).transpose(1, 0, 2, 3)
-            del ob  # before the next block's GEMM allocates its own
+
+        # At least two blocks, so that conv1's batch-50 columns (5.5 MB) walk.
+        _map_columns(block, xp, *self.kernel, self.stride, 1, _GEMM_BLOCK_BYTES, 2, fill)
         return out, xp
 
     def _backward(self, grad_out, xp):
         c, b, hp, wp = xp.shape
         o, p, s = self.out_channels, self.pad, self.stride
         kh, kw = self.kernel
-        oh, ow = grad_out.shape[2:]
-        if self.bias is not None:  # one pairwise sum per channel, over a copy freed at once
-            self.bias_grad += grad_out.transpose(1, 0, 2, 3).reshape(o, -1).sum(axis=1)
-        gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
         wm_t = self._weight_matrix().T
         gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, grad_out))
-        for blk, cb in _block_columns(xp, kh, kw, s, 1, _GEMM_BLOCK_BYTES):
-            nb = blk.stop - blk.start
+
+        def block(blk, cb):
             gob = np.ascontiguousarray(grad_out[blk].transpose(1, 0, 2, 3)).reshape(o, -1)
             cols = cb.reshape(wm_t.shape[0], -1)
-            gw += (gob @ cols.T).reshape(gw.shape)
+            parts = gob @ cols.T, None if self.bias is None else gob.sum(axis=1)
             np.matmul(wm_t, gob, out=cols)  # the column gradient, over the consumed columns
-            gxb = col2im(cb, s, np.empty((c, nb, hp, wp), gx.dtype))
+            del gob  # before col2im allocates the block's padded input gradient
+            gxb = col2im(cb, s, np.empty((c, blk.stop - blk.start, hp, wp), gx.dtype))
             gx[blk] = gxb[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
-            del gob, gxb  # before the next block allocates its own
+            return parts
+
+        gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
+        for gwb, gbb in _map_columns(block, xp, kh, kw, s, 1, _GEMM_BLOCK_BYTES, 2):  # in block order
+            gw += gwb.reshape(gw.shape)
+            if gbb is not None:
+                self.bias_grad += gbb
         return gx
 
 
@@ -282,10 +417,13 @@ class FixedPool(Layer):
         oh, ow = pool_out_dim(h, wh, self.stride), pool_out_dim(w, ww, self.stride)
         out = np.empty((b, c, oh, ow), dtype=x.dtype)
         reduce = np.max if self.mode == "max" else np.sum
-        for blk, cb in _block_columns(x, wh, ww, self.stride, 0, _BLOCK_BYTES):
+
+        def block(blk, cb):
             ob = reduce(cb, axis=(0, 1), out=out[blk])
             if self.mode == "average":  # sum, then divide: what np.mean does, without its overhead
                 ob /= wh * ww
+
+        _map_columns(block, x, wh, ww, self.stride, 0, _BLOCK_BYTES)
         return out, (x if self.mode == "max" else x.shape)
 
     def _backward(self, grad_out, saved):
@@ -296,7 +434,8 @@ class FixedPool(Layer):
             return col2im(np.broadcast_to(g, (wh, ww, *g.shape)), s, np.empty(saved, g.dtype))
         x = saved.astype(grad_out.dtype, copy=False)  # windows in the gradient's dtype
         gx = np.empty(x.shape, dtype=grad_out.dtype)
-        for blk, cb in _block_columns(x, wh, ww, s, 0, _BLOCK_BYTES):
+
+        def block(blk, cb):
             g = grad_out[blk]
             # Rebuild the block's windows and their maxima, then turn each
             # offset plane into its share of the gradient in place. The
@@ -311,6 +450,8 @@ class FixedPool(Layer):
                     free ^= hit
                     np.multiply(hit, g, out=cb[dy, dx])
             col2im(cb, s, gx[blk])
+
+        _map_columns(block, x, wh, ww, s, 0, _BLOCK_BYTES)
         return gx
 
 
@@ -319,11 +460,16 @@ class ReLU(Layer):
         self.name = name
 
     def _forward(self, x, train):
-        y = np.maximum(x, 0)
+        y = np.empty_like(x)
+        _map_blocks(lambda blk: np.maximum(x[blk], 0, out=y[blk]),
+                    _blocks(len(x), x.nbytes, _BLOCK_BYTES))
         return y, y  # y > 0 exactly where x > 0
 
     def _backward(self, grad_out, y):
-        return grad_out * (y > 0)
+        gx = np.empty_like(grad_out)
+        _map_blocks(lambda blk: np.multiply(grad_out[blk], y[blk] > 0, out=gx[blk]),
+                    _blocks(len(y), y.nbytes, _BLOCK_BYTES))
+        return gx
 
 
 class BatchNorm2d(Layer):
@@ -358,42 +504,54 @@ class BatchNorm2d(Layer):
     def _forward(self, x, train):
         if x.shape[1] != self.channels:
             raise ValueError(f"{self.name}: expected {self.channels} channels, got {x.shape[1]}")
-        # Per-channel vectors broadcast as (C, 1, 1). A training forward allocates
-        # two full-size arrays (xhat, and out, which first holds the squares), its
-        # backward one; reductions are ndarray.sum (pairwise).
-        if train:
-            n = x.size // self.channels
-            mean = x.sum(axis=(0, 2, 3)) / n
-            xhat = x - mean[:, None, None]
-            out = np.square(xhat)
-            var = out.sum(axis=(0, 2, 3)) / n
-            self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat *= inv_std[:, None, None]
-            saved = (xhat, inv_std)
-            np.multiply(xhat, self.gamma[:, None, None], out=out)
-        else:
-            saved = None
-            out = x - self.running_mean[:, None, None]
-            out *= (self.gamma / np.sqrt(self.running_var + self.eps))[:, None, None]
-        out += self.beta[:, None, None]
-        return out, saved
+        # Each channel's statistics are its own, so channel blocks walk. A
+        # training forward allocates two full-size arrays (xhat, and out, which
+        # first holds the squares), its backward one; reductions are ndarray.sum
+        # (pairwise).
+        n = x.size // self.channels
+        out = np.empty(x.shape, np.result_type(x, self.gamma))
+        xhat = np.empty_like(out) if train else None
+        inv_std = np.empty(self.channels, out.dtype) if train else None
+
+        def block(cs):
+            o, g, b = out[:, cs], self.gamma[cs, None, None], self.beta[cs, None, None]
+            if train:
+                mean = x[:, cs].sum(axis=(0, 2, 3)) / n
+                xh = np.subtract(x[:, cs], mean[:, None, None], out=xhat[:, cs])
+                var = np.square(xh, out=o).sum(axis=(0, 2, 3)) / n
+                for run, stat in ((self.running_mean, mean), (self.running_var, var)):
+                    run[cs] = (1 - self.momentum) * run[cs] + self.momentum * stat
+                inv_std[cs] = 1.0 / np.sqrt(var + self.eps)
+                xh *= inv_std[cs, None, None]
+                np.multiply(xh, g, out=o)
+            else:
+                np.subtract(x[:, cs], self.running_mean[cs, None, None], out=o)
+                o *= g / np.sqrt(self.running_var[cs, None, None] + self.eps)
+            o += b
+
+        _map_blocks(block, _blocks(self.channels, x.nbytes, _BLOCK_BYTES))
+        return out, (xhat, inv_std)
 
     def _backward(self, grad_out, saved):
         xhat, inv_std = saved
         n = grad_out.size // self.channels
-        dx = grad_out * xhat  # the products until gg is summed from them, then dx
-        gg = dx.sum(axis=(0, 2, 3))
-        bg = grad_out.sum(axis=(0, 2, 3))
-        self.gamma_grad += gg
-        self.beta_grad += bg
-        # dx = inv_std * (g - sum(g)/n - xhat*sum(g*xhat)/n) with g = gamma*grad_out,
-        # where sum(g) = gamma*bg and sum(g*xhat) = gamma*gg.
-        np.multiply(xhat, (-gg / n)[:, None, None], out=dx)
-        dx += grad_out
-        dx -= (bg / n)[:, None, None]
-        dx *= (self.gamma * inv_std)[:, None, None]
+        dx = np.empty(grad_out.shape, np.result_type(grad_out, xhat))
+
+        def block(cs):
+            g, xh, d = grad_out[:, cs], xhat[:, cs], dx[:, cs]
+            np.multiply(g, xh, out=d)  # the products until gg is summed from them, then dx
+            gg = d.sum(axis=(0, 2, 3))
+            bg = g.sum(axis=(0, 2, 3))
+            self.gamma_grad[cs] += gg
+            self.beta_grad[cs] += bg
+            # dx = inv_std * (g - sum(g)/n - xhat*sum(g*xhat)/n) with g = gamma*grad_out,
+            # where sum(g) = gamma*bg and sum(g*xhat) = gamma*gg.
+            np.multiply(xh, (-gg / n)[:, None, None], out=d)
+            d += g
+            d -= (bg / n)[:, None, None]
+            d *= (self.gamma[cs] * inv_std[cs])[:, None, None]
+
+        _map_blocks(block, _blocks(self.channels, grad_out.nbytes, _BLOCK_BYTES))
         return dx
 
 

@@ -16,18 +16,15 @@ variants can be compared on identical starting points and batches.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import threading
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import POOLING_KINDS, TrainConfig
-from .layers import BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU, _blocks
+from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU, _blocks,
+                     _layer_call, _map_blocks)
 from .pooling import MlpPoolStack, PerceptronPool
 
 # An eval forward runs the batch in blocks of about this many bytes of input,
@@ -35,61 +32,13 @@ from .pooling import MlpPoolStack, PerceptronPool
 # output is still in cache when the next layer reads it and no layer allocates
 # a whole-batch activation (conv1 of model_c_like: 65.5 MB for 250 images, past
 # glibc's mmap threshold, so paged in afresh on every call). 128 KiB is 10
-# images of 3x32x32 float32, so two walkers (below) hold what one held at
-# 256 KiB. A sweep over images per block with two walkers (model_c_like, max
-# pooling, 250-image eval, 2 vCPUs, OpenBLAS, median of 15 interleaved rounds,
-# two processes) gave 250 (one block, one walker): 429-468 ms, 63: 265-288,
-# 42: 224-242, 25: 196-218, 21: 186-195, 16: 190-191, 12: 189-191,
-# 10: 176-188, 8: 183-186, 5: 171-192 ms.
+# images of 3x32x32 float32, so two walkers (layers._map_blocks) hold what one
+# held at 256 KiB. A sweep over images per block with two walkers (model_c_like,
+# max pooling, 250-image eval, 2 vCPUs, OpenBLAS, median of 15 interleaved
+# rounds, two processes) gave 250 (one block, one walker): 429-468 ms,
+# 63: 265-288, 42: 224-242, 25: 196-218, 21: 186-195, 16: 190-191,
+# 12: 189-191, 10: 176-188, 8: 183-186, 5: 171-192 ms.
 _EVAL_BLOCK_BYTES = 128 << 10
-
-
-def _find_blas_threads():
-    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("openblas", "scipy_openblas"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
-
-
-_BLAS_THREADS = _find_blas_threads()
-# Eval walkers: the calling thread plus this many minus one threads started
-# for the walk, one per allowed CPU. Each walker runs single-threaded BLAS
-# (walkers on top of BLAS threads oversubscribe the CPUs and gain nothing), so
-# without a BLAS whose thread count can be set, the caller walks alone.
-_WALKERS = len(os.sched_getaffinity(0)) if _BLAS_THREADS else 1
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Run the body with one BLAS thread, then restore the count it had.
-    The count is process-wide, as is openblas_set_num_threads_local's in
-    OpenBLAS 0.3.31, so it is set once around the whole walk."""
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, set_ = _BLAS_THREADS
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 class Sequential(Layer):
@@ -99,41 +48,16 @@ class Sequential(Layer):
         self.slots: dict[str, list[Layer]] = {}
 
     def forward(self, x, train: bool = True):
-        if train:
+        if train:  # each layer walks its own blocks
             return self._walk(x, train=True)
-        # Only an eval forward can be split: a training forward needs
+        # Only an eval forward can be split by image: a training forward needs
         # whole-batch BatchNorm statistics and saves each layer's state for
         # backward, while in eval every image's logits depend on that image
-        # alone and nothing is saved. So the blocks run on every walker, each
-        # result into its block's slot: which walker ran a block cannot change
-        # the output.
+        # alone and nothing is saved. So the image blocks walk, each through
+        # every layer, and the layers run their own blocks in line.
         blocks = _blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)
-        out = [None] * len(blocks)
-        # Shared by the walkers: next() on a range iterator is atomic under the GIL.
-        todo = iter(range(1, len(blocks)))
-        errors = []
-
-        def walk():
-            try:
-                for i in todo:
-                    out[i] = self._walk(x[blocks[i]], train=False)
-            except Exception as e:  # raised in the caller once every walker has stopped
-                errors.append(e)
-
-        with _single_threaded_blas():
-            # The caller runs the first block alone, so a lazily bound layer
-            # binds (and draws its initial weights) once, before any walker.
-            out[0] = self._walk(x[blocks[0]], train=False)
-            walkers = [threading.Thread(target=walk)
-                       for _ in range(min(_WALKERS, len(blocks) - 1) - 1)]
-            for w in walkers:
-                w.start()
-            walk()
-            for w in walkers:
-                w.join()
-        if errors:
-            raise errors[0]
-        return np.concatenate(out)
+        with _layer_call(walk=True):
+            return np.concatenate(_map_blocks(lambda blk: self._walk(x[blk], train=False), blocks))
 
     def _walk(self, x, train):
         for layer in self.layers:

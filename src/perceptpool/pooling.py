@@ -36,28 +36,31 @@ afterwards is an error.
 All three are one Layer, a chain of perceptron layers (_Chain): a
 PerceptronPool is a chain of itself, a PerceptronUpsample one that pads
 its input first, an MlpPoolStack one of its aligned layers. Like Conv2d
-and FixedPool it walks batch blocks with layers._block_columns: each
-block's first-layer windows run through affine pieces on unit outputs,
-each one einsum per direction (the sharing mode only changes the weight
-subscripts), and col2im at the block places the last layer's units. One
-rule cuts the pieces: with no ReLU the whole chain is one composed affine
-map, its layers' weights multiplied per instance into one units x wh*ww
-map with one bias, so an identity nn_16_1 costs what a perceptron costs;
-a ReLU cannot be folded, so a chain with one runs per-layer units. A
-training forward keeps only its (padded) input: the backward rebuilds each
-block's columns and reruns the pieces it needs, trading a forward for never
-holding columns or unit planes (Chen et al. 2016, arXiv 1604.06174).
+and FixedPool it maps batch blocks with layers._map_columns, on every
+walker in a training call, and sums each block's parameter gradients in
+block order after the walk. Each block's first-layer windows run through
+affine pieces on unit outputs, each one einsum per direction (the sharing
+mode only changes the weight subscripts), and col2im at the block places
+the last layer's units. One rule cuts the pieces: with no ReLU the whole
+chain is one composed affine map, its layers' weights multiplied per
+instance into one units x wh*ww map with one bias, so an identity nn_16_1
+costs what a perceptron costs; a ReLU cannot be folded, so a chain with
+one runs per-layer units. A training forward keeps only its (padded)
+input: the backward rebuilds each block's columns and reruns the pieces it
+needs, trading a forward for never holding columns or unit planes (Chen et
+al. 2016, arXiv 1604.06174).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 
 import numpy as np
 
 from . import initializers
-from .layers import (_BLOCK_BYTES, Layer, _block_columns, col2im, im2col, pool_out_dim, _pair,
+from .layers import (_BLOCK_BYTES, Layer, _map_columns, col2im, im2col, pool_out_dim, _pair,
                      _weight_bias_groups)
 
 
@@ -121,15 +124,17 @@ def _piece_forward(layers, maps, cols):
     p, c = maps[-1]
     pre = np.einsum(f"rbcij,{sub}->kbcij", cols, p.reshape(*key, last.units, -1), optimize=last.units > 1)
     if c is not None:
-        bias = np.moveaxis(c.reshape(*key, last.units), -1, 0)
-        pre += np.expand_dims(bias, [a for a, s in enumerate("kbcij") if s not in sub])
+        # units first, then the bound (c, i, j) axes; plain reshapes, as
+        # numpy's axis helpers cost more than the add on a small block
+        bias = c.reshape(*key, last.units).transpose(len(key), *range(len(key)))
+        pre += bias.reshape([n if s in sub else 1 for s, n in zip("kbcij", pre.shape)])
     return np.maximum(pre, 0, out=pre) if last.activation == "relu" else pre
 
 
 def _piece_backward(layers, maps, grad, cols, units=None):
-    """Accumulate every layer's parameter gradients from `grad` (overwritten),
-    the gradient of the piece's `units`, which only a ReLU reads, and return
-    the column gradient. One pass gives the composed map's gradients S = sum
+    """(column gradient, [(layer, weight gradient, bias gradient or None)])
+    from `grad` (overwritten), the gradient of the piece's `units`, which
+    only a ReLU reads. One pass gives the composed map's gradients S = sum
     g cols^T and G = sum g; then, with A_l = W_L...W_{l+1}, dW_l = A_l^T (S
     P_{l-1}^T + G c_{l-1}^T) and db_l = A_l^T G, walking s = A_l^T S and g =
     A_l^T G down the chain."""
@@ -142,18 +147,20 @@ def _piece_backward(layers, maps, grad, cols, units=None):
     g = None if c is None else np.einsum(f"kbcij->{sub[:-1]}", grad).reshape(*c.shape, 1)
     # Units first: einsum's matmul route then writes the columns contiguously.
     grad_cols = np.einsum(f"kbcij,{sub}->rbcij", grad, p.reshape(*key, last.units, -1), optimize=last.units > 1)
+    parts = []
     for l, layer in reversed(list(enumerate(layers))):
         p, c = maps[l - 1] if l else (None, None)
         gw = s if p is None else s @ p.swapaxes(1, 2)
         if c is not None:
             gw = gw + g @ c[:, None, :]
-        layer.weights_grad += gw.reshape(layer.weights.shape)
-        if layer.bias is not None:
-            layer.bias_grad += g.reshape(layer.bias.shape)
+        parts.append((layer, gw, None if layer.bias is None else g))
         if l:
             w_t = layer.weights.reshape(*layer.weights.shape[:2], -1).swapaxes(1, 2)
             s, g = w_t @ s, None if g is None else w_t @ g
-    return grad_cols
+    return grad_cols, parts
+
+
+_BINDING = threading.Lock()
 
 
 class _Chain(Layer):
@@ -169,9 +176,10 @@ class _Chain(Layer):
     def bind(self, channels: int, height: int, width: int) -> None:
         """Allocate and initialize every layer's weights for an input shape."""
         shape = self._padded((1, channels, height, width))
-        for layer in self.layers:
-            layer._bind(*shape[1:])
-            shape = layer._grid(shape)
+        with _BINDING:  # eval walkers may run a lazily bound chain's first forwards at once
+            for layer in self.layers:
+                layer._bind(*shape[1:])
+                shape = layer._grid(shape)
 
     def output_shape(self, in_shape):
         shape = self._padded(in_shape)
@@ -189,34 +197,48 @@ class _Chain(Layer):
             x = np.pad(x, ((0, 0), (0, 0), *self._pads))
         pieces = _pieces(self.layers)
         q = self.layers[-1].block  # the units are col2im's window offsets
-        for blk, units in self._block_units(x):
+
+        def block(blk, units):
             for piece, maps in pieces:
                 units = _piece_forward(piece, maps, units)
             col2im(units.reshape(q, q, *units.shape[1:]), q, out[blk])
+
+        self._map_units(block, x)
         return out, x
 
     def _backward(self, grad_out, x):
         gx = np.empty(x.shape, np.result_type(grad_out, *(l.weights for l in self.layers)))
         pieces = _pieces(self.layers)
         q, s = self.layers[-1].block, self.layers[0].stride
-        for blk, units in self._block_units(x):
+
+        def block(blk, units):
             acts = [units]  # each piece's input units, and its output where a ReLU reads it
             for i, (piece, maps) in enumerate(pieces):
                 if i + 1 < len(pieces) or piece[-1].activation == "relu":
                     acts.append(_piece_forward(piece, maps, acts[-1]))
             grad = im2col(grad_out[blk], q, q, q)  # fresh: the pieces overwrite it
             grad = grad.reshape(q * q, *grad.shape[2:])
+            parts = []
             for i, (piece, maps) in reversed(list(enumerate(pieces))):
-                grad = _piece_backward(piece, maps, grad, *acts[i : i + 2])
+                grad, piece_parts = _piece_backward(piece, maps, grad, *acts[i : i + 2])
+                parts += piece_parts
             col2im(grad.reshape(*self.layers[0].window, *grad.shape[1:]), s, gx[blk])
+            return parts
+
+        for parts in self._map_units(block, x):  # summed in block order
+            for layer, gw, gb in parts:
+                layer.weights_grad += gw.reshape(layer.weights.shape)
+                if gb is not None:
+                    layer.bias_grad += gb.reshape(layer.bias.shape)
         (pt, pb), (pl, pr) = self._pads
         return gx[:, :, pt : gx.shape[2] - pb, pl : gx.shape[3] - pr]
 
-    def _block_units(self, x):
-        """(batch block, its first-layer columns (wh*ww, b, C, oH, oW)) over x."""
+    def _map_units(self, fn, x):
+        """[fn(batch block, its first-layer columns (wh*ww, b, C, oH, oW))] over x."""
         (wh, ww), s = self.layers[0].window, self.layers[0].stride
-        for blk, cols in _block_columns(x, wh, ww, s, 0, _BLOCK_BYTES):
-            yield blk, cols.reshape(wh * ww, *cols.shape[2:])  # not -1: a block may be empty
+        # not -1: a block may be empty
+        return _map_columns(lambda blk, cols: fn(blk, cols.reshape(wh * ww, *cols.shape[2:])),
+                            x, wh, ww, s, 0, _BLOCK_BYTES)
 
 
 class PerceptronPool(_Chain):

@@ -8,7 +8,8 @@ they run at test sizes that span several of the library's batch blocks;
 BatchNorm2d kernel replaced. None of them shares code with the library paths
 it checks. `complexity_probe` and `loglog_slope` time a layer's forward over
 input sizes for the linear-cost check (criterion 7). `run_python` runs a
-snippet in a fresh interpreter that imports this checkout's `perceptpool`.
+snippet in a fresh interpreter that imports this checkout's `perceptpool`,
+and `multi_block_batch` gives a batch that spans three eval blocks.
 """
 
 import math
@@ -22,7 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from perceptpool.data import CHANNEL_MEANS, SCALE
-from perceptpool.layers import Conv2d
+from perceptpool.layers import Conv2d, _blocks
+from perceptpool.models import _EVAL_BLOCK_BYTES
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +38,14 @@ def run_python(code: str, **env: str) -> str:
                           env={**os.environ, "PYTHONPATH": path, **env})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def multi_block_batch(dtype):
+    """CIFAR-sized images filling two eval blocks, plus one image in a third."""
+    per_block = _EVAL_BLOCK_BYTES // (3 * 32 * 32 * np.dtype(dtype).itemsize)
+    x = np.random.default_rng(6).normal(size=(2 * per_block + 1, 3, 32, 32)).astype(dtype)
+    assert len(_blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)) == 3
+    return x
 
 
 def conv2d_loops(x, weights, bias, stride, pad):

@@ -1,17 +1,24 @@
+import itertools
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from perceptpool import layers
+from perceptpool import layers, models
 from perceptpool.gradcheck import check_layer
-from perceptpool.layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, ReLU,
-                                col2im, im2col, pool_out_dim, softmax_xent)
-from perceptpool.pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample
+from perceptpool.layers import (_BLAS_THREADS, _WALKERS, BatchNorm2d, Conv2d, Dense, FixedPool,
+                                Flatten, Layer, ReLU, _map_blocks, col2im, im2col, pool_out_dim,
+                                softmax_xent)
+from perceptpool.models import _EVAL_BLOCK_BYTES, Sequential
+from perceptpool.pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing
 
-from oracles import batchnorm_reference, conv2d_loops, conv2d_reference, pool_reference
+from oracles import (batchnorm_reference, conv2d_loops, conv2d_reference, multi_block_batch,
+                     pool_reference)
 
 
 class TestPoolOutDim:
@@ -32,7 +39,7 @@ class TestPoolOutDim:
 
 
 class TestWindowEngine:
-    # 7 x 3 x 130 x 130 float64 is about 2.8 MB, several of _block_columns'
+    # 7 x 3 x 130 x 130 float64 is about 2.8 MB, several of _map_columns'
     # blocks, which the window kernels take in one pass.
     SHAPE = (7, 3, 130, 130)
 
@@ -268,6 +275,101 @@ def test_max_backward_allocates_no_full_batch_columns():
         tracemalloc.stop()
     block_cols = max(layers._BLOCK_BYTES, 4 * grad_out[0].nbytes)
     assert peak < gx.nbytes + 3 * block_cols, (peak, gx.nbytes, block_cols)
+
+
+def blas_threads():
+    """The process's BLAS thread count, or None without an OpenBLAS."""
+    return None if _BLAS_THREADS is None else _BLAS_THREADS[0]()
+
+
+class SpyLayer(Layer):
+    """Identity that records the thread and the BLAS thread count of every
+    call, raises on call `fail_at`, and otherwise sleeps `pause` seconds. Its
+    backward runs one such call per image through the walkers."""
+
+    name = "spy"
+
+    def __init__(self, fail_at=None, pause=0.005):
+        self.threads, self.blas_threads = [], []
+        self.fail_at, self.pause = fail_at, pause
+        self._calls = itertools.count(1)
+
+    def _forward(self, x, train):
+        self.threads.append(threading.get_ident())
+        self.blas_threads.append(blas_threads())
+        if next(self._calls) == self.fail_at:
+            raise ValueError(f"spy: call {self.fail_at}")
+        time.sleep(self.pause)  # so that every walker takes blocks
+        return x, None
+
+    def _backward(self, grad_out, saved):
+        blocks = [slice(i, i + 1) for i in range(len(grad_out))]
+        return np.concatenate(_map_blocks(lambda blk: self._forward(grad_out[blk], True)[0], blocks))
+
+
+def one_image_blocks(n):
+    """n images of exactly one eval block each."""
+    return np.arange(n * _EVAL_BLOCK_BYTES // 4, dtype=np.float32).reshape(n, -1)
+
+
+class TestWalkers:
+    """layers._map_blocks runs a layer call's blocks on every walker: the
+    image blocks of Sequential's eval forward, and the block loops of a
+    training layer call."""
+
+    @pytest.mark.skipif(_WALKERS == 1, reason="one eval walker: one allowed CPU or no OpenBLAS found")
+    def test_blocks_run_on_every_walker_with_one_blas_thread(self):
+        spy = SpyLayer()
+        x = one_image_blocks(20)
+        assert Sequential([spy]).forward(x, train=False).tobytes() == x.tobytes()
+        assert len(spy.threads) == 20 and len(set(spy.threads)) > 1
+        assert spy.blas_threads == [1] * 20
+
+    def test_more_walkers_than_cores_run_each_block_once(self, monkeypatch):
+        monkeypatch.setattr(layers, "_WALKERS", 8)
+        monkeypatch.setattr(models, "_EVAL_BLOCK_BYTES", 64)
+        spy, x = SpyLayer(pause=0), np.arange(4000 * 16, dtype=np.float32).reshape(4000, 16)
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=lambda: out.append(Sequential([spy]).forward(x, train=False)))
+            run.start()
+            run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert len(spy.threads) == 4000 and out[0].tobytes() == x.tobytes()
+
+    def test_lazy_binding_happens_once_among_the_walkers(self):
+        def model():
+            return Sequential([PerceptronPool(sharing=Sharing.PER_TENSOR, init="glorot",
+                                              rng=np.random.default_rng(9))])
+        x = multi_block_batch(np.float32)
+        for _ in range(5):  # a race between two binds need not show on every try
+            first, twin = model(), model()
+            twin.forward(x[:1], train=False)
+            logits = first.forward(x, train=False)
+            assert first.layers[0].weights.tobytes() == twin.layers[0].weights.tobytes()
+            assert logits.tobytes() == twin.forward(x, train=False).tobytes()
+
+    def test_walker_error_reraises_and_blas_threads_are_restored(self):
+        before = blas_threads()
+        Sequential([SpyLayer()]).forward(one_image_blocks(8), train=False)
+        assert blas_threads() == before
+        with pytest.raises(ValueError, match="spy: call 3"):
+            Sequential([SpyLayer(fail_at=3)]).forward(one_image_blocks(8), train=False)
+        assert blas_threads() == before
+
+    def test_training_walk_error_reraises_after_every_walker_stopped(self):
+        before, threads = blas_threads(), threading.active_count()
+        spy = SpyLayer(fail_at=4)  # the forward is call 1, so the third block raises
+        spy.forward(one_image_blocks(8), train=True)
+        with pytest.raises(ValueError, match="spy: call 4"):
+            spy.backward(one_image_blocks(8))
+        assert threading.active_count() == threads
+        assert blas_threads() == before
+        assert spy._saved is None
 
 
 class TestConv2d:

@@ -1,8 +1,4 @@
-import itertools
 import re
-import sys
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,14 +9,13 @@ from hypothesis import strategies as st
 
 from perceptpool.config import (DATA_KINDS, OPTIMIZERS, POOLING_KINDS, POOLINGS, RETIRED,
                                TrainConfig, load_config, parse_config)
-from perceptpool import models
-from perceptpool.layers import Conv2d, Layer, _blocks, softmax_xent
-from perceptpool.models import (_BLAS_THREADS, _EVAL_BLOCK_BYTES, _WALKERS, Sequential,
-                                audit_params, build_model, rng_for)
+from perceptpool import layers
+from perceptpool.layers import _BLAS_THREADS, Conv2d, _blocks, softmax_xent
+from perceptpool.models import _EVAL_BLOCK_BYTES, audit_params, build_model, rng_for
 from perceptpool.optim import make_optimizer
-from perceptpool.pooling import MlpPoolStack, PerceptronPool, Sharing
+from perceptpool.pooling import MlpPoolStack, PerceptronPool
 
-from oracles import add_conv_biases, run_python
+from oracles import add_conv_biases, multi_block_batch, run_python
 
 
 NON_DEFAULT_POOLING = {"window": 4, "stride": 4, "units": 4,
@@ -461,6 +456,25 @@ class TestBuildModel:
         for name, grad in grads.items():
             assert grad.tobytes() == b_grads[name].tobytes(), name
 
+    @pytest.mark.parametrize("model_name, pooling", [
+        ("model_a_like", "perceptron"), ("model_c_like", "nn_16_1"), ("model_c_like", "strided_conv")])
+    def test_training_step_does_not_depend_on_the_walker_count(self, monkeypatch, model_name, pooling):
+        # Every layer's partition is fixed and its partial gradients are summed
+        # in block order, whichever walker ran each block.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(50, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 10, 50)
+        results = []
+        for walkers in (1, 2, 8):
+            monkeypatch.setattr(layers, "_WALKERS", walkers)
+            model = build_model(TrainConfig(model=model_name, pooling_kind=pooling,
+                                            data_kind="cifar10", seed=4))
+            logits = model.forward(x)
+            gx = model.backward(softmax_xent(logits, labels)[1])
+            results.append([logits, gx] + [g.grad for g in model.param_groups()])
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
+
     def test_pattern_init_applies_to_pooling_slots(self):
         cfg = TrainConfig(model="tiny_synth", pooling_kind="perceptron", pooling_init="pattern")
         model = build_model(cfg)
@@ -469,48 +483,10 @@ class TestBuildModel:
         assert not np.all(pool.weights == 0.25)
 
 
-def multi_block_batch(dtype):
-    """CIFAR-sized images filling two eval blocks, plus one image in a third."""
-    per_block = _EVAL_BLOCK_BYTES // (3 * 32 * 32 * np.dtype(dtype).itemsize)
-    x = np.random.default_rng(6).normal(size=(2 * per_block + 1, 3, 32, 32)).astype(dtype)
-    assert len(_blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)) == 3
-    return x
-
-
 def layer_walk(model, x):
     for layer in model.layers:
         x = layer.forward(x, train=False)
     return x
-
-
-def blas_threads():
-    """The process's BLAS thread count, or None without an OpenBLAS."""
-    return None if _BLAS_THREADS is None else _BLAS_THREADS[0]()
-
-
-class SpyLayer(Layer):
-    """Identity that records the thread and the BLAS thread count of every
-    call, raises on call `fail_at`, and otherwise sleeps `pause` seconds."""
-
-    name = "spy"
-
-    def __init__(self, fail_at=None, pause=0.005):
-        self.threads, self.blas_threads = [], []
-        self.fail_at, self.pause = fail_at, pause
-        self._calls = itertools.count(1)
-
-    def _forward(self, x, train):
-        self.threads.append(threading.get_ident())
-        self.blas_threads.append(blas_threads())
-        if next(self._calls) == self.fail_at:
-            raise ValueError(f"spy: call {self.fail_at}")
-        time.sleep(self.pause)  # so that every walker takes blocks
-        return x, None
-
-
-def one_image_blocks(n):
-    """n images of exactly one eval block each."""
-    return np.arange(n * _EVAL_BLOCK_BYTES // 4, dtype=np.float32).reshape(n, -1)
 
 
 class TestBlockedEval:
@@ -547,50 +523,6 @@ class TestBlockedEval:
         x = np.random.default_rng(7).normal(size=(61, 3, 32, 32)).astype(np.float32)
         first = model.forward(x, train=False).tobytes()
         assert all(model.forward(x, train=False).tobytes() == first for _ in range(9))
-
-    @pytest.mark.skipif(_WALKERS == 1, reason="one eval walker: one allowed CPU or no OpenBLAS found")
-    def test_blocks_run_on_every_walker_with_one_blas_thread(self):
-        spy = SpyLayer()
-        x = one_image_blocks(20)
-        assert Sequential([spy]).forward(x, train=False).tobytes() == x.tobytes()
-        assert len(spy.threads) == 20 and len(set(spy.threads)) > 1
-        assert spy.blas_threads == [1] * 20
-
-    def test_more_walkers_than_cores_run_each_block_once(self, monkeypatch):
-        monkeypatch.setattr(models, "_WALKERS", 8)
-        monkeypatch.setattr(models, "_EVAL_BLOCK_BYTES", 64)
-        spy, x = SpyLayer(pause=0), np.arange(4000 * 16, dtype=np.float32).reshape(4000, 16)
-        out = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run = threading.Thread(target=lambda: out.append(Sequential([spy]).forward(x, train=False)))
-            run.start()
-            run.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not run.is_alive()
-        assert len(spy.threads) == 4000 and out[0].tobytes() == x.tobytes()
-
-    def test_lazy_binding_happens_once_before_the_walkers(self):
-        def model():
-            return Sequential([PerceptronPool(sharing=Sharing.PER_TENSOR, init="glorot",
-                                              rng=np.random.default_rng(9))])
-        x = multi_block_batch(np.float32)
-        for _ in range(5):  # a race between two binds need not show on every try
-            first, twin = model(), model()
-            twin.forward(x[:1], train=False)
-            logits = first.forward(x, train=False)
-            assert first.layers[0].weights.tobytes() == twin.layers[0].weights.tobytes()
-            assert logits.tobytes() == twin.forward(x, train=False).tobytes()
-
-    def test_walker_error_reraises_and_blas_threads_are_restored(self):
-        before = blas_threads()
-        Sequential([SpyLayer()]).forward(one_image_blocks(8), train=False)
-        assert blas_threads() == before
-        with pytest.raises(ValueError, match="spy: call 3"):
-            Sequential([SpyLayer(fail_at=3)]).forward(one_image_blocks(8), train=False)
-        assert blas_threads() == before
 
     @pytest.mark.skipif(_BLAS_THREADS is None, reason="no OpenBLAS found")
     def test_logits_do_not_depend_on_the_blas_thread_count(self):

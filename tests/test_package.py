@@ -13,11 +13,18 @@ def test_every_export_is_an_attribute():
 
 
 def test_import_starts_no_thread():
-    # Eval walker threads exist only during a multi-block eval forward.
+    # Walker threads exist only during a walk.
     out = run_python("import threading\n"
                      "before = threading.active_count()\n"
                      "import perceptpool, perceptpool.models\n"
                      "print(threading.active_count() - before)\n")
+    assert out.split() == ["0"]
+
+
+def test_import_sets_no_allocator_option():
+    # The walkers' single malloc arena is set when the first walk starts.
+    out = run_python("import perceptpool.layers as layers\n"
+                     "print(layers._one_malloc_arena.cache_info().currsize)\n")
     assert out.split() == ["0"]
 
 

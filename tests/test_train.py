@@ -10,13 +10,14 @@ import pytest
 
 from perceptpool import data as data_mod
 from perceptpool.config import POOLING_KINDS, TrainConfig
+from perceptpool.layers import _BLAS_THREADS
 from perceptpool.models import build_model
 from perceptpool.pooling import PerceptronPool
 from perceptpool.train import (TrainingDiverged, _diagnose_nonfinite, evaluate_checkpoint,
                                evaluate_model, load_checkpoint, prepare_data, save_checkpoint,
                                train)
 
-from oracles import add_conv_biases
+from oracles import add_conv_biases, run_python
 
 
 def tiny_config(**overrides):
@@ -80,6 +81,25 @@ class TestTraining:
         r2 = train(tiny_config(), tmp_path / "b", timer=FakeClock())
         assert r1.metrics_path.read_bytes() == r2.metrics_path.read_bytes()
         assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
+
+    @pytest.mark.skipif(_BLAS_THREADS is None, reason="no OpenBLAS found")
+    def test_training_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Every layer call runs its GEMMs at one BLAS thread, on a partition
+        # that the thread count does not change.
+        code = (
+            "import hashlib, itertools\n"
+            "from perceptpool import TrainConfig\n"
+            "from perceptpool.train import train\n"
+            "cfg = TrainConfig(model='tiny_synth', pooling_kind='perceptron', epochs=2, seed=11,\n"
+            "                  batch_size=50, data_synth_train=200, data_synth_val=100)\n"
+            "clock = itertools.count(1.0)  # FakeClock's 1, 2, 3, ...\n"
+            "r = train(cfg, {out!r}, timer=lambda: next(clock))\n"
+            "for path in (r.metrics_path, r.checkpoint_path):\n"
+            "    print(hashlib.sha256(path.read_bytes()).hexdigest())\n"
+        )
+        one, two = (run_python(code.format(out=str(tmp_path / n)), OPENBLAS_NUM_THREADS=n)
+                    for n in ("1", "2"))
+        assert one == two
 
     def test_different_seed_changes_course(self, tmp_path):
         r1 = train(tiny_config(seed=1), tmp_path / "a", timer=FakeClock())
