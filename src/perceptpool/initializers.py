@@ -61,21 +61,6 @@ def random_sign_pattern(rng: np.random.Generator, window_h: int, window_w: int) 
     return SignPattern(signs=grid, kind=kind)
 
 
-def classify_sign_pattern(grid: np.ndarray) -> str | None:
-    """Return the class a sign grid belongs to, or None if unstructured."""
-    g = np.asarray(grid)
-    diagonal = np.eye(*g.shape, dtype=bool)
-    rules = {
-        "all_same": np.all(g == g[0, 0]),
-        "x_split": np.all(g == g[0]) and np.count_nonzero(np.diff(g[0])) == 1,
-        "y_split": np.all(g == g[:, :1]) and np.count_nonzero(np.diff(g[:, 0])) == 1,
-        # one sign off the main diagonal (or its mirror), the other on it
-        "diagonal": any(np.array_equal(c, np.where(diagonal, -c[0, -1], c[0, -1]))
-                        for c in (g, np.fliplr(g))),
-    }
-    return next((kind for kind, ok in rules.items() if ok), None)
-
-
 def pattern_orbit(grid: np.ndarray) -> list[np.ndarray]:
     """Distinct rotations and mirrors of a sign grid (up to 8 for square
     windows, 4 shape-preserving transforms otherwise)."""

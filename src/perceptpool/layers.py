@@ -14,22 +14,25 @@ Conventions shared by all layers:
     it: a training forward's state lives until its backward returns;
   - pooling never pads and requires the window to tile the input exactly;
     convolution supports symmetric zero padding;
+  - every layer call walks blocks of about _BLOCK_BYTES, cut by _blocks
+    into sizes that differ by at most one: a windowed layer's batch blocks
+    by their columns, ReLU's batch blocks and BatchNorm2d's channel blocks
+    by their array;
   - every windowed layer (Conv2d, FixedPool and the perceptron chains of
-    pooling.py) maps cache-sized batch blocks with _map_columns, which
-    im2cols each into its walker's own buffer, then GEMMs, reduces or
-    contracts it into the block's BCHW output; the adjoint col2im writes each
-    block's input gradient into an array the caller owns; at window = stride
-    = q, col2im is the perceptron layers' depth-to-space and im2col its
-    inverse;
+    pooling.py) im2cols each batch block into an array of its own, then
+    GEMMs, reduces or contracts it into the block's BCHW output (FixedPool
+    and the chains through _map_columns; Conv2d pads its block and im2cols
+    it itself, channels first); the adjoint col2im writes each block's input
+    gradient into an array the caller owns; at window = stride = q, col2im
+    is the perceptron layers' depth-to-space and im2col its inverse;
   - none keeps columns: a training forward keeps its (padded) input, and
     the backward rebuilds each block's columns from it (Conv2d's then
     overwrites them with the block's column gradient);
-  - _map_blocks runs a layer call's blocks (those of the windowed layers,
-    ReLU's batch blocks, BatchNorm2d's channel blocks, Sequential's eval
-    image blocks) on one walker per allowed CPU: the calling thread and
-    threads started for the walk. The partition never depends on the walker
-    count, and weight and bias gradients are summed from per-block partials
-    in block order after the walk, so results do not depend on which walker
+  - _map_blocks runs a layer call's blocks (and Sequential's eval image
+    blocks) on one walker per allowed CPU: the calling thread and threads
+    started for the walk. The partition never depends on the walker count,
+    and weight and bias gradients are summed from per-block partials in
+    block order after the walk, so results do not depend on which walker
     ran a block. Inside a walker and in an eval layer call, blocks run in
     line. The outermost layer call runs OpenBLAS at one thread for its whole
     length, and walkers allocate from glibc's main arena.
@@ -70,21 +73,24 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-# _map_columns maps the batch in blocks of about this many column bytes,
-# so the strided passes over a block, and the GEMM, reduction or contraction
-# that reads its columns, are served from cache instead of sweeping
-# whole-batch arrays from memory.
-_BLOCK_BYTES = 1 << 20
-# Conv2d's blocks are larger: each is one GEMM call per direction, and a
-# narrower GEMM runs measurably slower per column.
-_GEMM_BLOCK_BYTES = 8 << 20
+# Every layer call walks blocks of about this many bytes (a windowed layer's
+# columns, else its array), so the strided passes over a block, and the GEMM,
+# reduction or contraction that reads it, are served from cache instead of
+# sweeping whole-batch arrays from memory, and conv1's batch-50 columns (5.5
+# MB) still span three blocks for the walkers.
+_BLOCK_BYTES = 2 << 20
 
 
 def _blocks(n: int, nbytes: int, budget: int) -> list[slice]:
-    """Slices of range(n) of about `budget` bytes each, for n items of nbytes
-    in all; one empty slice when n is 0, so an empty batch still runs once."""
+    """ceil(n / step) slices tiling range(n), for n items of nbytes in all and
+    a step of about `budget` bytes, in sizes that differ by at most one,
+    largest first (a short last block would leave a walker idle); one empty
+    slice when n is 0, so an empty batch still runs once."""
     step = max(1, budget * n // max(nbytes, 1))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+    count = max(1, -(-n // step))
+    size, longer = divmod(n, count)  # the first `longer` blocks take one item more
+    ends = [i * size + min(i, longer) for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 def _window(x: np.ndarray, dy: int, dx: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -229,29 +235,18 @@ def _map_blocks(fn, blocks):
     return out
 
 
-def _map_columns(fn, x, wh, ww, stride, axis, budget, least=1, fill=None):
-    """[fn(blk, cols) for each batch block] over blocks of about `budget`
-    column bytes, and at least `least` blocks, along the batch axis (0 or 1)
-    of x, run by _map_blocks. cols is the block's im2col, a contiguous prefix
-    of its walker's own buffer, which fn may overwrite; fill(blk), if given,
-    first writes the block's slice of x."""
-    *lead, h, w = x.shape
-    oh, ow = (h - wh) // stride + 1, (w - ww) // stride + 1
-    nbytes = wh * ww * math.prod(lead) * oh * ow * x.itemsize
-    blocks = _blocks(lead[axis], nbytes, min(budget, nbytes // least))
-    pre = (slice(None),) * axis
-    bufs = threading.local()  # each walker's buffer, freed when this call returns
+def _column_bytes(x, wh, ww, stride):
+    """Bytes of im2col(x, wh, ww, stride)."""
+    h, w = x.shape[-2:]
+    return wh * ww * x.nbytes // (h * w) * ((h - wh) // stride + 1) * ((w - ww) // stride + 1)
 
-    def run(blk):
-        if fill is not None:
-            fill(blk)
-        xb = x[(*pre, blk)]
-        shape = (wh, ww, *xb.shape[:-2], oh, ow)
-        if not hasattr(bufs, "buf"):  # only the last block is shorter, and no block follows it
-            bufs.buf = np.empty(math.prod(shape), dtype=x.dtype)
-        return fn(blk, im2col(xb, wh, ww, stride, out=bufs.buf[: math.prod(shape)].reshape(shape)))
 
-    return _map_blocks(run, blocks)
+def _map_columns(fn, x, wh, ww, stride):
+    """[fn(blk, cols) for each batch block of x, of about _BLOCK_BYTES of
+    columns], run by _map_blocks. cols is the block's own im2col, which fn
+    may overwrite."""
+    return _map_blocks(lambda blk: fn(blk, im2col(x[blk], wh, ww, stride)),
+                       _blocks(len(x), _column_bytes(x, wh, ww, stride), _BLOCK_BYTES))
 
 
 class Layer:
@@ -349,7 +344,7 @@ class Conv2d(Layer):
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = self._out_dims(h, w)
-        p = self.pad
+        (kh, kw), p, s = self.kernel, self.pad, self.stride
         # The batch padded and transposed to channels before batch, each
         # block's slice written by the walker that runs it. This is all a
         # training forward keeps: backward rebuilds each block's columns from
@@ -359,17 +354,14 @@ class Conv2d(Layer):
         wm = self._weight_matrix()
         out = np.empty((b, self.out_channels, oh, ow), dtype=np.result_type(x, wm))
 
-        def fill(blk):
+        def block(blk):
             xp[:, blk, p : p + h, p : p + w] = x[blk].transpose(1, 0, 2, 3)
-
-        def block(blk, cb):
-            ob = wm @ cb.reshape(wm.shape[1], -1)  # a row-strided view, not a copy
+            ob = wm @ im2col(xp[:, blk], kh, kw, s).reshape(wm.shape[1], -1)
             if self.bias is not None:
                 ob += self.bias[:, None]
             out[blk] = ob.reshape(len(ob), blk.stop - blk.start, oh, ow).transpose(1, 0, 2, 3)
 
-        # At least two blocks, so that conv1's batch-50 columns (5.5 MB) walk.
-        _map_columns(block, xp, *self.kernel, self.stride, 1, _GEMM_BLOCK_BYTES, 2, fill)
+        _map_blocks(block, _blocks(b, _column_bytes(xp, kh, kw, s), _BLOCK_BYTES))
         return out, xp
 
     def _backward(self, grad_out, xp):
@@ -379,8 +371,9 @@ class Conv2d(Layer):
         wm_t = self._weight_matrix().T
         gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, grad_out))
 
-        def block(blk, cb):
+        def block(blk):
             gob = np.ascontiguousarray(grad_out[blk].transpose(1, 0, 2, 3)).reshape(o, -1)
+            cb = im2col(xp[:, blk], kh, kw, s)
             cols = cb.reshape(wm_t.shape[0], -1)
             parts = gob @ cols.T, None if self.bias is None else gob.sum(axis=1)
             np.matmul(wm_t, gob, out=cols)  # the column gradient, over the consumed columns
@@ -390,7 +383,8 @@ class Conv2d(Layer):
             return parts
 
         gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
-        for gwb, gbb in _map_columns(block, xp, kh, kw, s, 1, _GEMM_BLOCK_BYTES, 2):  # in block order
+        blocks = _blocks(b, _column_bytes(xp, kh, kw, s), _BLOCK_BYTES)
+        for gwb, gbb in _map_blocks(block, blocks):  # in block order
             gw += gwb.reshape(gw.shape)
             if gbb is not None:
                 self.bias_grad += gbb
@@ -423,7 +417,7 @@ class FixedPool(Layer):
             if self.mode == "average":  # sum, then divide: what np.mean does, without its overhead
                 ob /= wh * ww
 
-        _map_columns(block, x, wh, ww, self.stride, 0, _BLOCK_BYTES)
+        _map_columns(block, x, wh, ww, self.stride)
         return out, (x if self.mode == "max" else x.shape)
 
     def _backward(self, grad_out, saved):
@@ -451,7 +445,7 @@ class FixedPool(Layer):
                     np.multiply(hit, g, out=cb[dy, dx])
             col2im(cb, s, gx[blk])
 
-        _map_columns(block, x, wh, ww, s, 0, _BLOCK_BYTES)
+        _map_columns(block, x, wh, ww, s)
         return gx
 
 

@@ -36,12 +36,12 @@ afterwards is an error.
 All three are one Layer, a chain of perceptron layers (_Chain): a
 PerceptronPool is a chain of itself, a PerceptronUpsample one that pads
 its input first, an MlpPoolStack one of its aligned layers. Like Conv2d
-and FixedPool it maps batch blocks with layers._map_columns, on every
-walker in a training call, and sums each block's parameter gradients in
-block order after the walk. Each block's first-layer windows run through
-affine pieces on unit outputs, each one einsum per direction (the sharing
-mode only changes the weight subscripts), and col2im at the block places
-the last layer's units. One rule cuts the pieces: with no ReLU the whole
+and FixedPool it walks batch blocks of about layers._BLOCK_BYTES of
+columns (layers._map_columns), on every walker in a training call, and
+sums each block's parameter gradients in block order after the walk. Each
+block's first-layer windows run through affine pieces on unit outputs,
+each one einsum per direction (the sharing mode only changes the weight
+subscripts), and col2im at the block places the last layer's units. One rule cuts the pieces: with no ReLU the whole
 chain is one composed affine map, its layers' weights multiplied per
 instance into one units x wh*ww map with one bias, so an identity nn_16_1
 costs what a perceptron costs; a ReLU cannot be folded, so a chain with
@@ -60,8 +60,7 @@ import threading
 import numpy as np
 
 from . import initializers
-from .layers import (_BLOCK_BYTES, Layer, _map_columns, col2im, im2col, pool_out_dim, _pair,
-                     _weight_bias_groups)
+from .layers import Layer, _map_columns, col2im, im2col, pool_out_dim, _pair, _weight_bias_groups
 
 
 class Sharing(enum.Enum):
@@ -238,7 +237,7 @@ class _Chain(Layer):
         (wh, ww), s = self.layers[0].window, self.layers[0].stride
         # not -1: a block may be empty
         return _map_columns(lambda blk, cols: fn(blk, cols.reshape(wh * ww, *cols.shape[2:])),
-                            x, wh, ww, s, 0, _BLOCK_BYTES)
+                            x, wh, ww, s)
 
 
 class PerceptronPool(_Chain):

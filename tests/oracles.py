@@ -9,7 +9,8 @@ BatchNorm2d kernel replaced. None of them shares code with the library paths
 it checks. `complexity_probe` and `loglog_slope` time a layer's forward over
 input sizes for the linear-cost check (criterion 7). `run_python` runs a
 snippet in a fresh interpreter that imports this checkout's `perceptpool`,
-and `multi_block_batch` gives a batch that spans three eval blocks.
+`multi_block_batch` gives a batch that spans three eval blocks, and
+`classify_sign_pattern` names the layout of a pattern-init sign grid.
 """
 
 import math
@@ -41,7 +42,8 @@ def run_python(code: str, **env: str) -> str:
 
 
 def multi_block_batch(dtype):
-    """CIFAR-sized images filling two eval blocks, plus one image in a third."""
+    """CIFAR-sized images, one more than two eval blocks' worth, which the
+    even partition spreads over three blocks."""
     per_block = _EVAL_BLOCK_BYTES // (3 * 32 * 32 * np.dtype(dtype).itemsize)
     x = np.random.default_rng(6).normal(size=(2 * per_block + 1, 3, 32, 32)).astype(dtype)
     assert len(_blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)) == 3
@@ -304,3 +306,19 @@ def loglog_slope(rows) -> float:
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
     return float(np.polyfit(xs, ys, 1)[0])
+
+
+def classify_sign_pattern(grid: np.ndarray) -> str | None:
+    """The class of the four sign layouts of initializers.random_sign_pattern
+    that a sign grid belongs to, or None if it is unstructured."""
+    g = np.asarray(grid)
+    diagonal = np.eye(*g.shape, dtype=bool)
+    rules = {
+        "all_same": np.all(g == g[0, 0]),
+        "x_split": np.all(g == g[0]) and np.count_nonzero(np.diff(g[0])) == 1,
+        "y_split": np.all(g == g[:, :1]) and np.count_nonzero(np.diff(g[:, 0])) == 1,
+        # one sign off the main diagonal (or its mirror), the other on it
+        "diagonal": any(np.array_equal(c, np.where(diagonal, -c[0, -1], c[0, -1]))
+                        for c in (g, np.fliplr(g))),
+    }
+    return next((kind for kind, ok in rules.items() if ok), None)

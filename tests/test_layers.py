@@ -39,8 +39,8 @@ class TestPoolOutDim:
 
 
 class TestWindowEngine:
-    # 7 x 3 x 130 x 130 float64 is about 2.8 MB, several of _map_columns'
-    # blocks, which the window kernels take in one pass.
+    # 7 x 3 x 130 x 130 float64 is about 2.8 MB, more than one of the
+    # layers' blocks, which the window kernels take in one pass.
     SHAPE = (7, 3, 130, 130)
 
     @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (4, 3)])
@@ -72,11 +72,32 @@ def _assert_close(actual, expected):
                                atol=1e-12 * max(1.0, float(np.abs(expected).max())))
 
 
-def _assert_spans_blocks(n, cols_per_item, budget):
-    """The batch spans at least three blocks, the last one short."""
-    blocks = layers._blocks(n, n * cols_per_item, budget)
-    sizes = [blk.stop - blk.start for blk in blocks]
+def _assert_spans_blocks(monkeypatch, budget, n, cols_per_item):
+    """With the layers' block budget set to `budget` bytes, a batch of n
+    items of cols_per_item column bytes spans at least three blocks, the
+    last one short."""
+    monkeypatch.setattr(layers, "_BLOCK_BYTES", budget)
+    sizes = [blk.stop - blk.start for blk in layers._blocks(n, n * cols_per_item, budget)]
     assert len(sizes) >= 3 and sizes[-1] < sizes[0], sizes
+
+
+def test_blocks_are_even_and_tile_the_batch():
+    """_blocks keeps ceil(n / step) blocks, in sizes that differ by at most
+    one and never grow, and tiles range(n) exactly; n = 0 is one empty slice."""
+    for per_item, budget in itertools.product([1, 3, 100, 4096, 1 << 21], [1, 1000, 128 << 10, 2 << 20]):
+        assert layers._blocks(0, 0, budget) == [slice(0, 0)]
+        for n in [1, 2, 7, 10, 11, 50, 250, 1001]:
+            blocks = layers._blocks(n, n * per_item, budget)
+            sizes = [blk.stop - blk.start for blk in blocks]
+            assert len(blocks) == -(-n // max(1, budget // per_item)), (n, per_item, budget)
+            assert [i for blk in blocks for i in range(n)[blk]] == list(range(n))
+            assert all(a >= b for a, b in zip(sizes, sizes[1:])) and sizes[0] - sizes[-1] <= 1, sizes
+
+
+def test_eval_blocks_of_250_images():
+    """A 250-image CIFAR eval walks 25 blocks of 10 images."""
+    blocks = layers._blocks(250, 250 * 3 * 32 * 32 * 4, _EVAL_BLOCK_BYTES)
+    assert [blk.stop - blk.start for blk in blocks] == [10] * 25
 
 
 class TestBatchBlocks:
@@ -89,15 +110,15 @@ class TestBatchBlocks:
         (3, 2, 1, (7, 8, 130, 130)),
         (2, 2, 0, (7, 16, 130, 130)),
     ])
-    def test_conv2d_matches_whole_batch_reference(self, kernel, stride, pad, shape):
+    def test_conv2d_matches_whole_batch_reference(self, kernel, stride, pad, shape, monkeypatch):
         rng = np.random.default_rng([50, kernel, stride])
         b, c, h, w = shape
         conv = Conv2d(c, 5, kernel, stride, pad, rng=rng, dtype=np.float64)
         conv.bias[...] = rng.normal(size=conv.bias.shape)
         x = rng.normal(size=shape)
         out = conv2d_reference(x, conv.weights, conv.bias, stride, pad)
-        _assert_spans_blocks(b, kernel * kernel * c * out.shape[2] * out.shape[3] * 8,
-                             layers._GEMM_BLOCK_BYTES)
+        _assert_spans_blocks(monkeypatch, 8 << 20, b,
+                             kernel * kernel * c * out.shape[2] * out.shape[3] * 8)
         grad_out = rng.normal(size=out.shape)
         _, (dx, dw, db) = conv2d_reference(x, conv.weights, conv.bias, stride, pad, grad_out)
         _assert_close(conv.forward(x, train=True), out)
@@ -109,7 +130,8 @@ class TestBatchBlocks:
     @pytest.mark.parametrize("mode,ties", [("max", False), ("average", False), ("max", True)],
                              ids=["max", "average", "max_ties"])
     @pytest.mark.parametrize("window,stride,shape", [(2, 2, (7, 3, 130, 130)), (3, 1, (7, 1, 66, 66))])
-    def test_fixed_pool_matches_whole_batch_reference(self, mode, ties, window, stride, shape):
+    def test_fixed_pool_matches_whole_batch_reference(self, mode, ties, window, stride, shape,
+                                                      monkeypatch):
         rng = np.random.default_rng([52, window, stride])
         b, c, h, w = shape
         # Values from {0, 1, 2} tie within nearly every window, in the images on
@@ -117,8 +139,8 @@ class TestBatchBlocks:
         x = rng.integers(0, 3, size=shape).astype(np.float64) if ties else rng.normal(size=shape)
         pool = FixedPool(mode, window, stride)
         out = pool_reference(x, mode, window, stride)
-        _assert_spans_blocks(b, window * window * c * out.shape[2] * out.shape[3] * 8,
-                             layers._BLOCK_BYTES)
+        _assert_spans_blocks(monkeypatch, 1 << 20, b,
+                             window * window * c * out.shape[2] * out.shape[3] * 8)
         grad_out = rng.normal(size=out.shape)
         _, dx = pool_reference(x, mode, window, stride, grad_out)
         _assert_close(pool.forward(x, train=True), out)
@@ -134,16 +156,16 @@ class TestBatchBlocks:
          (7, 16, 64, 64)),
         (lambda rng: PerceptronUpsample(2, 4, dtype=np.float64), (7, 4, 64, 64)),
     ], ids=["relu_nn_16_1", "per_tensor", "upsample"])
-    def test_perceptron_chain_matches_image_by_image(self, make, shape):
+    def test_perceptron_chain_matches_image_by_image(self, make, shape, monkeypatch):
         """A perceptron chain over a batch of several blocks gives each image
         the output and input gradient it gets alone, and the sum of their
         parameter gradients."""
         rng = np.random.default_rng(54)
         slot = make(rng)
         x = rng.normal(size=shape)
-        out = slot.forward(x)
         # 2x2 columns of 16 x 64 x 64 at stride 2, or of 4 x 65 x 65 padded at stride 1
-        _assert_spans_blocks(len(x), 4 * 16 * 32 * 32 * 8, layers._BLOCK_BYTES)
+        _assert_spans_blocks(monkeypatch, 1 << 20, len(x), 4 * 16 * 32 * 32 * 8)
+        out = slot.forward(x)
         grad_out = rng.normal(size=out.shape)
         gx = slot.backward(grad_out)
         grads = [g.grad.copy() for g in slot.param_groups()]
@@ -196,13 +218,13 @@ def test_relu_then_max_pool_keep_one_array():
         assert relu._saved[0] is pool._saved[0], pool
 
 
-def test_conv2d_float32_weight_gradient_over_blocks():
+def test_conv2d_float32_weight_gradient_over_blocks(monkeypatch):
     """The weight gradients of Conv2d and of a perceptron slot are summed
     block by block; in float32, over a batch of several blocks, each stays
     within 1e-5 of the float64 reference."""
     rng = np.random.default_rng(53)
     b, c, h, w = shape = (11, 16, 66, 66)
-    _assert_spans_blocks(b, 9 * c * h * w * 4, layers._GEMM_BLOCK_BYTES)
+    _assert_spans_blocks(monkeypatch, 8 << 20, b, 9 * c * h * w * 4)
     conv = Conv2d(c, 8, 3, 1, 1, rng=rng)
     x = rng.normal(size=shape).astype(np.float32)
     grad_out = rng.normal(size=(b, 8, h, w)).astype(np.float32)
@@ -212,7 +234,7 @@ def test_conv2d_float32_weight_gradient_over_blocks():
     conv.backward(grad_out)
     assert np.max(np.abs(conv.weights_grad - dw)) <= 1e-5 * np.max(np.abs(dw))
 
-    _assert_spans_blocks(b, c * h * w * 4, layers._BLOCK_BYTES)  # 2x2/2 columns: the input's size
+    _assert_spans_blocks(monkeypatch, 1 << 20, b, c * h * w * 4)  # 2x2/2 columns: the input's size
     pool = PerceptronPool(2, 2, init="glorot", rng=rng)
     grad_out = rng.normal(size=(b, c, h // 2, w // 2)).astype(np.float32)
     dw = np.array([[np.sum(grad_out.astype(np.float64) * x[:, :, dy::2, dx::2]) for dx in range(2)]
@@ -238,14 +260,15 @@ def test_empty_batch_gives_empty_output(make, train, out_shape):
 
 
 @pytest.mark.parametrize("make, budget", [
-    (lambda: Conv2d(64, 128, 3, 1, 1, rng=np.random.default_rng(0)), "_GEMM_BLOCK_BYTES"),
-    (lambda: FixedPool("max", 2, 2), "_BLOCK_BYTES"),
-    (lambda: FixedPool("average", 2, 2), "_BLOCK_BYTES"),
+    (lambda: Conv2d(64, 128, 3, 1, 1, rng=np.random.default_rng(0)), 8 << 20),
+    (lambda: FixedPool("max", 2, 2), 1 << 20),
+    (lambda: FixedPool("average", 2, 2), 1 << 20),
 ], ids=["conv2d", "max", "average"])
-def test_eval_forward_allocates_no_full_batch_columns(make, budget):
-    """An eval forward's peak allocation stays within its output plus two
-    blocks' columns; a whole-batch column matrix would be 37.7 MB (Conv2d)
-    or 4.2 MB (max) here."""
+def test_eval_forward_allocates_no_full_batch_columns(make, budget, monkeypatch):
+    """At a block budget of `budget` bytes, an eval forward's peak allocation
+    stays within its output plus two blocks' columns; a whole-batch column
+    matrix would be 37.7 MB (Conv2d) or 4.2 MB (max) here."""
+    monkeypatch.setattr(layers, "_BLOCK_BYTES", budget)
     layer = make()
     x = np.random.default_rng(1).normal(size=(64, 64, 16, 16)).astype(np.float32)
     tracemalloc.start()
@@ -256,14 +279,16 @@ def test_eval_forward_allocates_no_full_batch_columns(make, budget):
         tracemalloc.stop()
     kh, kw = layer.kernel if isinstance(layer, Conv2d) else layer.window
     cols_per_image = kh * kw * x.shape[1] * out.shape[2] * out.shape[3] * x.itemsize
-    block_cols = max(getattr(layers, budget), cols_per_image)
+    block_cols = max(budget, cols_per_image)
     assert peak < out.nbytes + 2 * block_cols, (peak, out.nbytes, block_cols)
 
 
-def test_max_backward_allocates_no_full_batch_columns():
+def test_max_backward_allocates_no_full_batch_columns(monkeypatch):
     """A max-pool training backward rebuilds its windows one batch block at a
-    time: its peak stays within the input gradient plus three blocks' columns
-    (7.3 MB here), where whole-batch columns would take it past 8.4 MB."""
+    time: at a 1 MiB block budget its peak stays within the input gradient
+    plus three blocks' columns (7.3 MB here), where whole-batch columns would
+    take it past 8.4 MB."""
+    monkeypatch.setattr(layers, "_BLOCK_BYTES", 1 << 20)
     layer = FixedPool("max", 2, 2)
     x = np.random.default_rng(1).normal(size=(64, 64, 16, 16)).astype(np.float32)
     grad_out = np.random.default_rng(2).normal(size=layer.forward(x).shape).astype(np.float32)
