@@ -13,21 +13,23 @@ Conventions shared by all layers:
     without it and ValueError for a grad_out of another shape, then consumes
     it: a training forward's state lives until its backward returns;
   - pooling never pads and requires the window to tile the input exactly;
-    convolution supports symmetric zero padding;
+    convolution supports symmetric zero padding, which only im2col and
+    col2im see;
   - every layer call walks blocks of about _BLOCK_BYTES, cut by _blocks
     into sizes that differ by at most one: a windowed layer's batch blocks
     by their columns, ReLU's batch blocks and BatchNorm2d's channel blocks
     by their array;
   - every windowed layer (Conv2d, FixedPool and the perceptron chains of
-    pooling.py) im2cols each batch block into an array of its own, then
-    GEMMs, reduces or contracts it into the block's BCHW output (FixedPool
-    and the chains through _map_columns; Conv2d pads its block and im2cols
-    it itself, channels first); the adjoint col2im writes each block's input
-    gradient into an array the caller owns; at window = stride = q, col2im
-    is the perceptron layers' depth-to-space and im2col its inverse;
-  - none keeps columns: a training forward keeps its (padded) input, and
-    the backward rebuilds each block's columns from it (Conv2d's then
-    overwrites them with the block's column gradient);
+    pooling.py) im2cols each batch block, zero padded, into an array of its
+    own, then GEMMs, reduces or contracts it into the block's BCHW output
+    (FixedPool and the chains through _map_columns; Conv2d im2cols its
+    block itself, channels first); the adjoint col2im writes each block's
+    input gradient, less the padding, into an array the caller owns; at
+    window = stride = q, col2im is the perceptron layers' depth-to-space
+    and im2col its inverse;
+  - none keeps columns or a padded copy: a training forward keeps its input
+    as given, and the backward rebuilds each block's columns from it
+    (Conv2d's then overwrites them with the block's column gradient);
   - _map_blocks runs a layer call's blocks (and Sequential's eval image
     blocks) on one walker per allowed CPU: the calling thread and threads
     started for the walk. The partition never depends on the walker count,
@@ -93,44 +95,62 @@ def _blocks(n: int, nbytes: int, budget: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-def _window(x: np.ndarray, dy: int, dx: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """The (dy, dx) offset plane of x's oh x ow windows: a strided view."""
-    return x[..., dy : dy + stride * oh : stride, dx : dx + stride * ow : stride]
+_NO_PADS = ((0, 0), (0, 0))  # zero padding ((top, bottom), (left, right)) of a window pass
 
 
-def im2col(x: np.ndarray, wh: int, ww: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Every exactly tiling wh x ww window of x (N, ..., H, W), as a
-    (wh, ww, N, ..., oH, oW) array: one strided copy per window offset, so
-    windowed reductions and GEMMs run over contiguous planes. Written into
-    `out` (any view of that shape) when given."""
-    *lead, h, w = x.shape
-    oh = (h - wh) // stride + 1
-    ow = (w - ww) // stride + 1
-    cols = np.empty((wh, ww, *lead, oh, ow), dtype=x.dtype) if out is None else out
-    for dy in range(wh):
-        for dx in range(ww):
-            cols[dy, dx] = _window(x, dy, dx, stride, oh, ow)
+def _padded(shape, pads):
+    """shape (..., H, W) zero padded by `pads`."""
+    (pt, pb), (pl, pr) = pads
+    return (*shape[:-2], shape[-2] + pt + pb, shape[-1] + pl + pr)
+
+
+@functools.lru_cache(maxsize=256)  # a layer call asks once per block, each time the same
+def _planes(hw, wh, ww, stride, oh, ow, pads):
+    """(dy, dx, taps, fill) for each offset plane of the oh x ow windows over
+    an H x W input (hw) zero padded by `pads`, without a padded copy: taps
+    indexes the plane's taps inside the input, fill the part of the plane
+    they fill."""
+    axes = ([], [])
+    for axis, k, (pad, _), n, on in zip(axes, (wh, ww), pads, hw, (oh, ow)):
+        for d in range(k):  # outputs lo..hi-1 have their tap d + stride*i - pad in range(n)
+            lo = min(on, max(0, -((d - pad) // stride)))
+            hi = max(lo, min(on, -((d - pad - n) // stride)))
+            axis.append((slice(d - pad + stride * lo, d - pad + stride * hi, stride), slice(lo, hi)))
+    return tuple((dy, dx, (..., ys, xs), (..., i, j))
+                 for dy, (ys, i) in enumerate(axes[0]) for dx, (xs, j) in enumerate(axes[1]))
+
+
+def im2col(x: np.ndarray, wh: int, ww: int, stride: int, pads=_NO_PADS) -> np.ndarray:
+    """Every wh x ww window of x (N, ..., H, W) zero padded by `pads`, as a
+    (wh, ww, N, ..., oH, oW) array of its own: one strided copy per window
+    offset, so windowed reductions and GEMMs run over contiguous planes."""
+    oh, ow = ((n - k) // stride + 1 for n, k in zip(_padded(x.shape, pads)[-2:], (wh, ww)))
+    cols = np.empty((wh, ww, *x.shape[:-2], oh, ow), dtype=x.dtype)
+    for dy, dx, taps, (_, i, j) in _planes(x.shape[-2:], wh, ww, stride, oh, ow, pads):
+        plane = cols[dy, dx]
+        plane[..., i, j] = x[taps]
+        if pads != _NO_PADS:  # the taps in the padding read zeros
+            plane[..., : i.start, :] = plane[..., i.stop :, :] = 0
+            plane[..., : j.start] = plane[..., j.stop :] = 0
     return cols
 
 
-def col2im(cols: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
+def col2im(cols: np.ndarray, stride: int, out: np.ndarray, pads=_NO_PADS) -> np.ndarray:
     """Adjoint of im2col: put each offset plane of cols (wh, ww, N, ..., oH, oW)
-    back in place in `out` (N, ..., H, W, any view) and return it; overlapping
-    windows sum and what no window covers is zero."""
+    back in place in `out` (N, ..., H, W, any view), less the padding, and
+    return it; overlapping windows sum and what no window covers is zero."""
     wh, ww = cols.shape[:2]
     oh, ow = cols.shape[-2:]
-    # Windows that tile the input exactly each own their pixels, so their
-    # planes are assigned; otherwise they add onto zeros.
-    tiles = wh == ww == stride and out.shape[-2:] == (oh * stride, ow * stride)
+    # Windows that tile the padded input exactly each own their pixels, so
+    # their planes are assigned; otherwise they add onto zeros.
+    tiles = wh == ww == stride and _padded(out.shape, pads)[-2:] == (oh * stride, ow * stride)
     if not tiles:
         out[...] = 0
-    for dy in range(wh):
-        for dx in range(ww):
-            view = _window(out, dy, dx, stride, oh, ow)
-            if tiles:
-                view[...] = cols[dy, dx]
-            else:
-                view += cols[dy, dx]
+    for dy, dx, taps, fill in _planes(out.shape[-2:], wh, ww, stride, oh, ow, pads):
+        if tiles:
+            out[taps] = cols[dy, dx][fill]
+        else:
+            out[taps] += cols[dy, dx][fill]
     return out
 
 
@@ -235,18 +255,19 @@ def _map_blocks(fn, blocks):
     return out
 
 
-def _column_bytes(x, wh, ww, stride):
-    """Bytes of im2col(x, wh, ww, stride)."""
+def _column_bytes(x, wh, ww, stride, pads=_NO_PADS):
+    """Bytes of im2col(x, wh, ww, stride, pads)."""
     h, w = x.shape[-2:]
-    return wh * ww * x.nbytes // (h * w) * ((h - wh) // stride + 1) * ((w - ww) // stride + 1)
+    hp, wp = _padded(x.shape, pads)[-2:]
+    return wh * ww * x.nbytes // (h * w) * ((hp - wh) // stride + 1) * ((wp - ww) // stride + 1)
 
 
-def _map_columns(fn, x, wh, ww, stride):
+def _map_columns(fn, x, wh, ww, stride, pads=_NO_PADS):
     """[fn(blk, cols) for each batch block of x, of about _BLOCK_BYTES of
     columns], run by _map_blocks. cols is the block's own im2col, which fn
     may overwrite."""
-    return _map_blocks(lambda blk: fn(blk, im2col(x[blk], wh, ww, stride)),
-                       _blocks(len(x), _column_bytes(x, wh, ww, stride), _BLOCK_BYTES))
+    return _map_blocks(lambda blk: fn(blk, im2col(x[blk], wh, ww, stride, pads)),
+                       _blocks(len(x), _column_bytes(x, wh, ww, stride, pads), _BLOCK_BYTES))
 
 
 class Layer:
@@ -327,14 +348,6 @@ class Conv2d(Layer):
     def param_groups(self):
         return _weight_bias_groups(self)
 
-    def _out_dims(self, h, w):
-        kh, kw = self.kernel
-        oh = (h + 2 * self.pad - kh) // self.stride + 1
-        ow = (w + 2 * self.pad - kw) // self.stride + 1
-        if oh < 1 or ow < 1:
-            raise ValueError(f"kernel {self.kernel} does not fit input {h}x{w} with pad {self.pad}")
-        return oh, ow
-
     def _weight_matrix(self):
         # (O, kh*kw*C), matching the (kh, kw, C) row order of the columns
         return self.weights.transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
@@ -343,47 +356,39 @@ class Conv2d(Layer):
         b, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
-        oh, ow = self._out_dims(h, w)
-        (kh, kw), p, s = self.kernel, self.pad, self.stride
-        # The batch padded and transposed to channels before batch, each
-        # block's slice written by the walker that runs it. This is all a
-        # training forward keeps: backward rebuilds each block's columns from
-        # it, which costs one im2col per block and saves the kh*kw-times
-        # larger column matrix.
-        xp = np.zeros((c, b, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        (kh, kw), s, pads = self.kernel, self.stride, ((self.pad, self.pad),) * 2
+        oh, ow = ((n - k) // s + 1 for n, k in zip(_padded(x.shape, pads)[-2:], self.kernel))
+        if oh < 1 or ow < 1:
+            raise ValueError(f"kernel {self.kernel} does not fit input {h}x{w} with pad {self.pad}")
         wm = self._weight_matrix()
         out = np.empty((b, self.out_channels, oh, ow), dtype=np.result_type(x, wm))
 
         def block(blk):
-            xp[:, blk, p : p + h, p : p + w] = x[blk].transpose(1, 0, 2, 3)
-            ob = wm @ im2col(xp[:, blk], kh, kw, s).reshape(wm.shape[1], -1)
+            cols = im2col(x[blk].transpose(1, 0, 2, 3), kh, kw, s, pads)
+            ob = wm @ cols.reshape(wm.shape[1], -1)
             if self.bias is not None:
                 ob += self.bias[:, None]
             out[blk] = ob.reshape(len(ob), blk.stop - blk.start, oh, ow).transpose(1, 0, 2, 3)
 
-        _map_blocks(block, _blocks(b, _column_bytes(xp, kh, kw, s), _BLOCK_BYTES))
-        return out, xp
+        _map_blocks(block, _blocks(b, _column_bytes(x, kh, kw, s, pads), _BLOCK_BYTES))
+        return out, x
 
-    def _backward(self, grad_out, xp):
-        c, b, hp, wp = xp.shape
-        o, p, s = self.out_channels, self.pad, self.stride
-        kh, kw = self.kernel
+    def _backward(self, grad_out, x):
+        (kh, kw), o, s, pads = self.kernel, self.out_channels, self.stride, ((self.pad, self.pad),) * 2
         wm_t = self._weight_matrix().T
-        gx = np.empty((b, c, hp - 2 * p, wp - 2 * p), dtype=np.result_type(wm_t, grad_out))
+        gx = np.empty(x.shape, dtype=np.result_type(wm_t, grad_out))
 
         def block(blk):
             gob = np.ascontiguousarray(grad_out[blk].transpose(1, 0, 2, 3)).reshape(o, -1)
-            cb = im2col(xp[:, blk], kh, kw, s)
+            cb = im2col(x[blk].transpose(1, 0, 2, 3), kh, kw, s, pads)
             cols = cb.reshape(wm_t.shape[0], -1)
             parts = gob @ cols.T, None if self.bias is None else gob.sum(axis=1)
             np.matmul(wm_t, gob, out=cols)  # the column gradient, over the consumed columns
-            del gob  # before col2im allocates the block's padded input gradient
-            gxb = col2im(cb, s, np.empty((c, blk.stop - blk.start, hp, wp), gx.dtype))
-            gx[blk] = gxb[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
+            col2im(cb, s, gx[blk].transpose(1, 0, 2, 3), pads)
             return parts
 
         gw = self.weights_grad.transpose(0, 2, 3, 1)  # (O, kh, kw, C), the columns' row order
-        blocks = _blocks(b, _column_bytes(xp, kh, kw, s), _BLOCK_BYTES)
+        blocks = _blocks(len(x), _column_bytes(x, kh, kw, s, pads), _BLOCK_BYTES)
         for gwb, gbb in _map_blocks(block, blocks):  # in block order
             gw += gwb.reshape(gw.shape)
             if gbb is not None:
@@ -581,7 +586,9 @@ class Dense(Layer):
     def _forward(self, x, train):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"{self.name}: expected (batch, {self.in_features}), got {x.shape}")
-        return x @ self.weights + self.bias, x
+        # einsum's own loop sums each output in one order whatever the row
+        # count, so an image's logits do not depend on its eval block (GEMM's did).
+        return np.einsum("bi,oi->bo", x, np.ascontiguousarray(self.weights.T)) + self.bias, x
 
     def _backward(self, grad_out, x):
         self.weights_grad += x.T @ grad_out

@@ -34,21 +34,21 @@ bound at first forward (or an explicit bind); changing the relevant shape
 afterwards is an error.
 
 All three are one Layer, a chain of perceptron layers (_Chain): a
-PerceptronPool is a chain of itself, a PerceptronUpsample one that pads
-its input first, an MlpPoolStack one of its aligned layers. Like Conv2d
-and FixedPool it walks batch blocks of about layers._BLOCK_BYTES of
+PerceptronPool is a chain of itself, a PerceptronUpsample one whose
+windows im2col zero pads, an MlpPoolStack one of its aligned layers. Like
+Conv2d and FixedPool it walks batch blocks of about layers._BLOCK_BYTES of
 columns (layers._map_columns), on every walker in a training call, and
 sums each block's parameter gradients in block order after the walk. Each
 block's first-layer windows run through affine pieces on unit outputs,
 each one einsum per direction (the sharing mode only changes the weight
-subscripts), and col2im at the block places the last layer's units. One rule cuts the pieces: with no ReLU the whole
-chain is one composed affine map, its layers' weights multiplied per
-instance into one units x wh*ww map with one bias, so an identity nn_16_1
-costs what a perceptron costs; a ReLU cannot be folded, so a chain with
-one runs per-layer units. A training forward keeps only its (padded)
-input: the backward rebuilds each block's columns and reruns the pieces it
-needs, trading a forward for never holding columns or unit planes (Chen et
-al. 2016, arXiv 1604.06174).
+subscripts), and col2im at the block places the last layer's units. One
+rule cuts the pieces: with no ReLU the whole chain is one composed affine
+map, its layers' weights multiplied per instance into one units x wh*ww
+map with one bias, so an identity nn_16_1 costs what a perceptron costs; a
+ReLU cannot be folded, so a chain with one runs per-layer units. A
+training forward keeps only its input as given: the backward rebuilds each
+block's columns and reruns the pieces it needs, trading a forward for
+never holding columns or unit planes (Chen et al. 2016, arXiv 1604.06174).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import threading
 import numpy as np
 
 from . import initializers
-from .layers import Layer, _map_columns, col2im, im2col, pool_out_dim, _pair, _weight_bias_groups
+from .layers import Layer, _map_columns, _padded, col2im, im2col, pool_out_dim, _pair, _weight_bias_groups
 
 
 class Sharing(enum.Enum):
@@ -167,21 +167,16 @@ class _Chain(Layer):
 
     _pads = ((0, 0), (0, 0))  # zero padding (top, bottom), (left, right) of the input
 
-    def _padded(self, shape):
-        b, c, h, w = shape
-        (pt, pb), (pl, pr) = self._pads
-        return b, c, h + pt + pb, w + pl + pr
-
     def bind(self, channels: int, height: int, width: int) -> None:
         """Allocate and initialize every layer's weights for an input shape."""
-        shape = self._padded((1, channels, height, width))
+        shape = _padded((1, channels, height, width), self._pads)
         with _BINDING:  # eval walkers may run a lazily bound chain's first forwards at once
             for layer in self.layers:
                 layer._bind(*shape[1:])
                 shape = layer._grid(shape)
 
     def output_shape(self, in_shape):
-        shape = self._padded(in_shape)
+        shape = _padded(in_shape, self._pads)
         for layer in self.layers:
             shape = layer._grid(shape)
         return shape
@@ -192,8 +187,6 @@ class _Chain(Layer):
     def _forward(self, x, train):
         self.bind(*x.shape[1:])
         out = np.empty(self.output_shape(x.shape), np.result_type(x, *(l.weights for l in self.layers)))
-        if self._pads != _Chain._pads:  # np.pad copies even with zero widths
-            x = np.pad(x, ((0, 0), (0, 0), *self._pads))
         pieces = _pieces(self.layers)
         q = self.layers[-1].block  # the units are col2im's window offsets
 
@@ -221,7 +214,7 @@ class _Chain(Layer):
             for i, (piece, maps) in reversed(list(enumerate(pieces))):
                 grad, piece_parts = _piece_backward(piece, maps, grad, *acts[i : i + 2])
                 parts += piece_parts
-            col2im(grad.reshape(*self.layers[0].window, *grad.shape[1:]), s, gx[blk])
+            col2im(grad.reshape(*self.layers[0].window, *grad.shape[1:]), s, gx[blk], self._pads)
             return parts
 
         for parts in self._map_units(block, x):  # summed in block order
@@ -229,15 +222,14 @@ class _Chain(Layer):
                 layer.weights_grad += gw.reshape(layer.weights.shape)
                 if gb is not None:
                     layer.bias_grad += gb.reshape(layer.bias.shape)
-        (pt, pb), (pl, pr) = self._pads
-        return gx[:, :, pt : gx.shape[2] - pb, pl : gx.shape[3] - pr]
+        return gx
 
     def _map_units(self, fn, x):
         """[fn(batch block, its first-layer columns (wh*ww, b, C, oH, oW))] over x."""
         (wh, ww), s = self.layers[0].window, self.layers[0].stride
         # not -1: a block may be empty
         return _map_columns(lambda blk, cols: fn(blk, cols.reshape(wh * ww, *cols.shape[2:])),
-                            x, wh, ww, s)
+                            x, wh, ww, s, self._pads)
 
 
 class PerceptronPool(_Chain):

@@ -43,26 +43,40 @@ class TestWindowEngine:
     # layers' blocks, which the window kernels take in one pass.
     SHAPE = (7, 3, 130, 130)
 
-    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (4, 3)])
-    def test_im2col_matches_window_slices_across_blocks(self, window, stride):
+    @pytest.mark.parametrize("window,stride,pads", [
+        (2, 2, layers._NO_PADS), (3, 1, layers._NO_PADS), (4, 3, layers._NO_PADS),
+        (4, 3, ((1, 0), (2, 1))),
+    ])
+    def test_im2col_matches_window_slices_across_blocks(self, window, stride, pads):
+        """Each offset plane is a strided slice of the input, zero padded by
+        np.pad when pads are given; _column_bytes, which sizes the blocks,
+        counts the columns' bytes."""
         x = np.random.default_rng([40, window, stride]).normal(size=self.SHAPE)
-        cols = im2col(x, window, window, stride)
-        n = (self.SHAPE[-1] - window) // stride + 1
+        cols = im2col(x, window, window, stride, pads)
+        assert layers._column_bytes(x, window, window, stride, pads) == cols.nbytes
+        xp = np.pad(x, ((0, 0), (0, 0), *pads))
+        oh, ow = ((n - window) // stride + 1 for n in xp.shape[-2:])
         for dy in range(window):
             for dx in range(window):
                 np.testing.assert_array_equal(
-                    cols[dy, dx], x[..., dy : dy + stride * n : stride, dx : dx + stride * n : stride])
+                    cols[dy, dx], xp[..., dy : dy + stride * oh : stride, dx : dx + stride * ow : stride])
 
-    # (2, 3) leaves a gap between windows and an uncovered border.
-    @pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (4, 3), (2, 3)])
-    def test_col2im_is_the_adjoint_across_blocks(self, window, stride):
+    # (2, 3) leaves a gap between windows and an uncovered border; the pads
+    # drop some taps, (1, 0), (2, 1) unevenly, and (2, 2) with pad 1 tiles
+    # the padded input.
+    @pytest.mark.parametrize("window,stride,pads", [
+        (2, 2, layers._NO_PADS), (3, 1, layers._NO_PADS), (4, 3, layers._NO_PADS),
+        (2, 3, layers._NO_PADS), (3, 1, ((1, 1), (1, 1))), (3, 2, ((1, 0), (2, 1))),
+        (2, 2, ((1, 1), (1, 1))),
+    ])
+    def test_col2im_is_the_adjoint_across_blocks(self, window, stride, pads):
         rng = np.random.default_rng([41, window, stride])
         x = rng.normal(size=self.SHAPE)
-        cols = im2col(x, window, window, stride)
+        cols = im2col(x, window, window, stride, pads)
         y = rng.normal(size=cols.shape)
         lhs = float(np.vdot(cols, y))
         # col2im must overwrite or zero every element of the array it is given.
-        rhs = float(np.vdot(x, col2im(y, stride, np.full(x.shape, np.nan))))
+        rhs = float(np.vdot(x, col2im(y, stride, np.full(x.shape, np.nan), pads)))
         assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
@@ -187,14 +201,14 @@ def _array_bytes(saved):
 
 
 @pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 1), (3, 2, 1)])
-def test_conv2d_training_forward_keeps_only_its_padded_input(kernel, stride, pad):
-    """At most C*B*(H+2p)*(W+2p) values: the padded input, which backward
-    rebuilds each block's columns from, not the kernel*kernel-times larger
-    columns themselves."""
-    b, c, h, w = shape = (5, 8, 12, 12)
-    conv = Conv2d(c, 4, kernel, stride, pad, rng=np.random.default_rng(0))
-    conv.forward(np.random.default_rng(1).normal(size=shape).astype(np.float32), train=True)
-    assert _array_bytes(conv._saved[0]) <= c * b * (h + 2 * pad) * (w + 2 * pad) * 4
+def test_conv2d_training_forward_keeps_only_its_input(kernel, stride, pad):
+    """The input itself, which backward rebuilds each block's padded columns
+    from: no padded copy, and not the kernel*kernel-times larger columns."""
+    shape = (5, 8, 12, 12)
+    conv = Conv2d(shape[1], 4, kernel, stride, pad, rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=shape).astype(np.float32)
+    conv.forward(x, train=True)
+    assert conv._saved[0] is x
 
 
 def test_max_pool_training_forward_keeps_only_its_input():
@@ -207,13 +221,13 @@ def test_max_pool_training_forward_keeps_only_its_input():
 
 
 def test_relu_then_max_pool_keep_one_array():
-    """ReLU keeps its output, which is the input that max pooling and a
-    perceptron slot keep: a training forward of either pair holds the
-    activation once."""
+    """ReLU keeps its output, which is the input that max pooling, a
+    perceptron slot and a strided-convolution slot keep: a training forward
+    of any such pair holds the activation once."""
     x = np.random.default_rng(3).normal(size=(5, 8, 12, 12)).astype(np.float32)
     relu = ReLU()
     y = relu.forward(x, train=True)
-    for pool in (FixedPool("max", 2, 2), PerceptronPool(2, 2)):
+    for pool in (FixedPool("max", 2, 2), PerceptronPool(2, 2), Conv2d(8, 8, 2, 2)):
         pool.forward(y, train=True)
         assert relu._saved[0] is pool._saved[0], pool
 
@@ -249,7 +263,8 @@ def test_conv2d_float32_weight_gradient_over_blocks(monkeypatch):
     (lambda: Conv2d(4, 5, 3, 1, 1), True, (0, 5, 6, 6)),
     (lambda: FixedPool("max", 2, 2), False, (0, 4, 3, 3)),
     (lambda: FixedPool("average", 2, 2), True, (0, 4, 3, 3)),
-], ids=["conv2d-eval", "conv2d-train", "max-eval", "average-train"])
+    (lambda: PerceptronUpsample(3, 4), True, (0, 4, 12, 12)),
+], ids=["conv2d-eval", "conv2d-train", "max-eval", "average-train", "upsample-train"])
 def test_empty_batch_gives_empty_output(make, train, out_shape):
     layer = make()
     x = np.zeros((0, 4, 6, 6), dtype=np.float32)
@@ -260,7 +275,7 @@ def test_empty_batch_gives_empty_output(make, train, out_shape):
 
 
 @pytest.mark.parametrize("make, budget", [
-    (lambda: Conv2d(64, 128, 3, 1, 1, rng=np.random.default_rng(0)), 8 << 20),
+    (lambda: Conv2d(64, 128, 3, 1, 1, rng=np.random.default_rng(0)), layers._BLOCK_BYTES),
     (lambda: FixedPool("max", 2, 2), 1 << 20),
     (lambda: FixedPool("average", 2, 2), 1 << 20),
 ], ids=["conv2d", "max", "average"])

@@ -517,6 +517,17 @@ class TestBlockedEval:
                                      for blk in _blocks(len(x), x.nbytes, _EVAL_BLOCK_BYTES)])
         assert model.forward(x, train=False).tobytes() == one_by_one.tobytes()
 
+    @pytest.mark.parametrize("pooling", ["max", "perceptron"])
+    def test_an_images_logits_do_not_depend_on_its_batch(self, pooling):
+        """One image's logits are the same bytes alone and inside 10- and
+        21-image batches (blocks of 10 and 7/7/7): model_a_like's fc, with
+        8,192 features, rounded them by its block's row count."""
+        model = build_model(TrainConfig(model="model_a_like", pooling_kind=pooling, data_kind="cifar10"))
+        x = multi_block_batch(np.float32)
+        alone = model.forward(x[:1], train=False).tobytes()
+        for n in (10, 21):
+            assert model.forward(x[:n], train=False)[:1].tobytes() == alone, n
+
     def test_repeated_forwards_give_identical_bytes(self):
         model = build_model(TrainConfig(model="model_c_like", pooling_kind="nn_16_1",
                                         data_kind="cifar10", seed=3))
