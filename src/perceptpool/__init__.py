@@ -9,8 +9,7 @@ checking, and a training CLI.
 
 from .config import TrainConfig, load_config, parse_config
 from .gradcheck import GradReport, check_layer
-from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU,
-                     pool_out_dim, softmax_xent)
+from .layers import BatchNorm2d, Conv2d, Dense, FixedPool, Layer, ReLU, pool_out_dim, softmax_xent
 from .models import Sequential, audit_params, build_model
 from .optim import Adam, ParamGroup, SGD
 from .pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing, param_count
@@ -19,7 +18,7 @@ from .train import evaluate_checkpoint, evaluate_model, load_checkpoint, save_ch
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "BatchNorm2d", "Conv2d", "Dense", "FixedPool", "Flatten", "GradReport",
+    "Adam", "BatchNorm2d", "Conv2d", "Dense", "FixedPool", "GradReport",
     "Layer", "MlpPoolStack", "ParamGroup", "PerceptronPool", "PerceptronUpsample",
     "ReLU", "SGD", "Sequential", "Sharing", "TrainConfig",
     "audit_params", "build_model", "check_layer", "evaluate_checkpoint",

@@ -13,7 +13,6 @@ writes weights only: `PerceptronPool.bind` allocates the bias at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +29,10 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
 # Sign patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignPattern:
-    signs: np.ndarray  # (window_h, window_w) of +-1
-    kind: str  # all_same | diagonal | x_split | y_split
-
-
-def random_sign_pattern(rng: np.random.Generator, window_h: int, window_w: int) -> SignPattern:
-    """Draw one of the four sign layouts; degenerate classes are skipped
-    for windows too small to express them (e.g. a 1x1 window is always
-    all_same)."""
+def random_sign_pattern(rng: np.random.Generator, window_h: int, window_w: int) -> np.ndarray:
+    """Draw one of the four sign layouts as an int8 grid of +-1; degenerate
+    classes are skipped for windows too small to express them (e.g. a 1x1
+    window is always all_same)."""
     classes = ["all_same"]
     if window_w >= 2:
         classes.append("x_split")
@@ -58,7 +51,7 @@ def random_sign_pattern(rng: np.random.Generator, window_h: int, window_w: int) 
     elif kind == "y_split":
         t = int(rng.integers(1, window_h))
         grid[t:, :] = -sign
-    return SignPattern(signs=grid, kind=kind)
+    return grid
 
 
 def pattern_orbit(grid: np.ndarray) -> list[np.ndarray]:
@@ -97,7 +90,7 @@ def pattern_init_multi(layer, rng: np.random.Generator) -> None:
         placed, stale = [], 0
         while len(placed) < layer.units:
             if stale < 64:
-                drawn = random_sign_pattern(rng, wh, ww).signs
+                drawn = random_sign_pattern(rng, wh, ww)
                 orbit = [drawn] if layer.units == 1 else pattern_orbit(drawn)  # drawn is its first
                 new = [g for g in orbit if not any(np.array_equal(g, p) for p in placed)]
                 stale = 0 if new else stale + 1

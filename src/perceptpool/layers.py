@@ -554,18 +554,10 @@ class BatchNorm2d(Layer):
         return dx
 
 
-class Flatten(Layer):
-    def __init__(self, name: str = "flatten"):
-        self.name = name
-
-    def _forward(self, x, train):
-        return x.reshape(len(x), math.prod(x.shape[1:])), x.shape
-
-    def _backward(self, grad_out, in_shape):
-        return grad_out.reshape(in_shape)
-
-
 class Dense(Layer):
+    """Fully connected: each image of a (batch, ...) input, the pooled maps as
+    they come, is read as one row of in_features values (C order)."""
+
     def __init__(self, in_features, out_features,
                  rng: np.random.Generator | None = None, dtype=np.float32, name: str = "fc"):
         self.in_features = int(in_features)
@@ -584,16 +576,18 @@ class Dense(Layer):
         return _weight_bias_groups(self)
 
     def _forward(self, x, train):
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(f"{self.name}: expected (batch, {self.in_features}), got {x.shape}")
+        if x.ndim < 2 or math.prod(x.shape[1:]) != self.in_features:
+            raise ValueError(f"{self.name}: expected (batch, ...) of {self.in_features} "
+                             f"features, got {x.shape}")
         # einsum's own loop sums each output in one order whatever the row
         # count, so an image's logits do not depend on its eval block (GEMM's did).
-        return np.einsum("bi,oi->bo", x, np.ascontiguousarray(self.weights.T)) + self.bias, x
+        rows = x.reshape(len(x), self.in_features)
+        return np.einsum("bi,oi->bo", rows, np.ascontiguousarray(self.weights.T)) + self.bias, x
 
     def _backward(self, grad_out, x):
-        self.weights_grad += x.T @ grad_out
+        self.weights_grad += x.reshape(len(x), self.in_features).T @ grad_out
         self.bias_grad += grad_out.sum(axis=0)
-        return grad_out @ self.weights.T
+        return (grad_out @ self.weights.T).reshape(x.shape)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import POOLING_KINDS, TrainConfig
-from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Flatten, Layer, ReLU, _blocks,
+from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Layer, ReLU, _blocks,
                      _layer_call, _map_blocks)
 from .pooling import MlpPoolStack, PerceptronPool
 
@@ -149,7 +149,6 @@ def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
         layers.extend(slot_layers)
         slots[f"pool{i}"] = slot_layers
         shape = x.shape[1:]
-    layers.append(Flatten())
     layers.append(Dense(math.prod(shape), cfg.num_classes,
                         rng=rng_for(cfg.seed, "fc"), dtype=dtype, name="fc"))
     model = Sequential(layers, name=cfg.model)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,12 @@ class TestTrainEvalCommands:
         assert "best of 2" in out
         assert (out_dir / "run0" / "checkpoint.ckpt").exists()
         assert (out_dir / "run1" / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("conv2d:pad", "bad layer option 'pad'; expected key=value"),
+    ("nn_4_1:units=4,relu", "bad layer option 'relu'; expected key=value"),
+], ids=["bare-key", "bare-key-after-option"])
+def test_input_checks(spec, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        build_check_layer(spec)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,16 @@ class TestSynthDataset:
     def test_four_classes_still_separable(self):
         x, y = data.synth_dataset(400, classes=4, seed=2)
         assert nearest_centroid_accuracy(x, y) >= 0.95
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: data.make_batches(np.zeros((4, 1)), np.zeros(4, int), 0, np.random.default_rng(0)),
+     "batch_size 0 invalid for 4 examples"),
+    (lambda: data.make_batches(np.zeros((4, 1)), np.zeros(4, int), 5, np.random.default_rng(0)),
+     "batch_size 5 invalid for 4 examples"),
+    (lambda: data.synth_dataset(8, classes=1), "classes must be in 2..4, got 1"),
+    (lambda: data.synth_dataset(8, classes=5), "classes must be in 2..4, got 5"),
+], ids=["batch-below-1", "batch-above-n", "one-class", "five-classes"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,24 @@ def test_every_relu_pooling_kind_passes(kind):
         layer, shape = build_check_layer(f"{kind}:activation=relu")
         report = check_layer(layer, shape, seed=seed, tolerance=1e-4)
         assert report.passed, f"{kind} seed {seed}:\n{report.format()}"
+
+
+class _NonFinite(Layer):
+    """Its output is NaN everywhere: every loss evaluation is non-finite."""
+    name = "nan"
+
+    def _forward(self, x, train):
+        return np.full_like(x, np.nan), None
+
+    def _backward(self, grad_out, saved):
+        return grad_out
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _probe(lambda: 0.0, np.zeros(2), 0.0), ValueError, "h must be > 0, got 0.0"),
+    (lambda: check_layer(_NonFinite(), (2, 3)), FloatingPointError,
+     "layer produced a non-finite evaluation"),
+], ids=["h-not-positive", "non-finite-output"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()

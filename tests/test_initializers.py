@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,25 +76,24 @@ class TestSignPatterns:
         assert classify_sign_pattern(grid) is None
 
     def test_generated_patterns_always_classify(self):
+        """Every drawn grid is one of the four layouts, and each layout is drawn."""
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            pat = init.random_sign_pattern(rng, 2, 2)
-            assert classify_sign_pattern(pat.signs) == pat.kind
-        for _ in range(200):
-            pat = init.random_sign_pattern(rng, 4, 4)
-            assert classify_sign_pattern(pat.signs) == pat.kind
+        for window in (2, 4):
+            kinds = [classify_sign_pattern(init.random_sign_pattern(rng, window, window))
+                     for _ in range(200)]
+            assert None not in kinds
+            assert set(kinds) == {"all_same", "diagonal", "x_split", "y_split"}
 
     def test_transforms_stay_in_the_four_classes(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            pat = init.random_sign_pattern(rng, 3, 3)
-            for grid in init.pattern_orbit(pat.signs):
+            for grid in init.pattern_orbit(init.random_sign_pattern(rng, 3, 3)):
                 assert classify_sign_pattern(grid) is not None
 
     def test_1x1_window_is_all_same(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            assert init.random_sign_pattern(rng, 1, 1).kind == "all_same"
+            assert classify_sign_pattern(init.random_sign_pattern(rng, 1, 1)) == "all_same"
 
 
 class TestPatternInit:
@@ -113,7 +113,7 @@ class TestPatternInit:
         layer.bind(1, 4, 5)
         rng = np.random.default_rng(4)
         for w in layer.weights[:, 0]:
-            signs = init.random_sign_pattern(rng, 2, 3).signs
+            signs = init.random_sign_pattern(rng, 2, 3)
             assert np.array_equal(w, signs * init._pattern_magnitudes(rng, 2, 3))
 
     @pytest.mark.parametrize("kw, shape, digest", [
@@ -136,8 +136,7 @@ class TestPatternInit:
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(10_000):
-            pat = init.random_sign_pattern(rng, 2, 2)
-            w = pat.signs * (2.0 / 4) * (1.0 - rng.random((2, 2)))
+            w = init.random_sign_pattern(rng, 2, 2) * (2.0 / 4) * (1.0 - rng.random((2, 2)))
             worst = max(worst, abs(w.sum()))
         assert worst <= 2.0
 
@@ -151,8 +150,8 @@ class TestPatternInit:
     def test_multi_mirror_pair(self):
         rng = np.random.default_rng(21)
         base = init.random_sign_pattern(rng, 2, 3)
-        orbit = init.pattern_orbit(base.signs)
-        assert any(np.array_equal(g, np.fliplr(base.signs)) for g in orbit)
+        orbit = init.pattern_orbit(base)
+        assert any(np.array_equal(g, np.fliplr(base)) for g in orbit)
 
     def test_sixteen_units_use_every_reachable_grid(self):
         # a 2x2 window admits exactly 8 structured sign grids (4 splits, 2
@@ -179,3 +178,20 @@ class TestPatternInit:
             return layer.weights.copy()
 
         assert np.array_equal(build(), build())
+
+
+def _bound_pool():
+    layer = PerceptronPool(2, 2, dtype=np.float64)
+    layer.bind(1, 4, 4)
+    return layer
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: init.apply_pool_init(_bound_pool(), "glorot", None), "init scheme 'glorot' needs an rng"),
+    (lambda: init.apply_pool_init(_bound_pool(), "pattern", None), "init scheme 'pattern' needs an rng"),
+    (lambda: init.apply_pool_init(_bound_pool(), "zeros", np.random.default_rng(0)),
+     "unknown init scheme 'zeros'"),
+], ids=["glorot-without-rng", "pattern-without-rng", "unknown-scheme"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

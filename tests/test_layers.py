@@ -12,8 +12,7 @@ import pytest
 from perceptpool import layers, models
 from perceptpool.gradcheck import check_layer
 from perceptpool.layers import (_BLAS_THREADS, _WALKERS, BatchNorm2d, Conv2d, Dense, FixedPool,
-                                Flatten, Layer, ReLU, _map_blocks, col2im, im2col, pool_out_dim,
-                                softmax_xent)
+                                Layer, ReLU, _map_blocks, col2im, im2col, pool_out_dim, softmax_xent)
 from perceptpool.models import _EVAL_BLOCK_BYTES, Sequential
 from perceptpool.pooling import MlpPoolStack, PerceptronPool, PerceptronUpsample, Sharing
 
@@ -617,9 +616,31 @@ class TestDense:
         out = fc.forward(np.array([[1.0, 1.0]]))
         np.testing.assert_array_equal(out, [[14.0, 26.0]])
 
-    def test_backward_matches_finite_differences(self):
-        report = check_layer(Dense(5, 4, dtype=np.float64), (3, 5), seed=3, tolerance=1e-4)
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 2, 3, 3)], ids=["rows", "maps"])
+    def test_backward_matches_finite_differences(self, shape):
+        layer = Dense(math.prod(shape[1:]), 4, dtype=np.float64)
+        report = check_layer(layer, shape, seed=3, tolerance=1e-4)
         assert report.passed, report.format()
+
+    def test_maps_are_read_as_their_rows(self):
+        """A (batch, C, H, W) batch gives what its (batch, C*H*W) rows give,
+        bit for bit, and its input gradient comes back in the maps' shape."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(5, 2, 3, 3)).astype(np.float32)
+        grad = rng.normal(size=(5, 3)).astype(np.float32)
+        maps, rows = (Dense(18, 3, rng=np.random.default_rng(8)) for _ in range(2))
+        np.testing.assert_array_equal(maps.forward(x), rows.forward(x.reshape(5, 18)))
+        gx = maps.backward(grad)
+        assert gx.shape == x.shape
+        np.testing.assert_array_equal(gx.reshape(5, 18), rows.backward(grad))
+        np.testing.assert_array_equal(maps.weights_grad, rows.weights_grad)
+        np.testing.assert_array_equal(maps.bias_grad, rows.bias_grad)
+
+    def test_empty_batch_of_maps(self):
+        fc = Dense(18, 3, dtype=np.float64)
+        out = fc.forward(np.zeros((0, 2, 3, 3)))
+        assert out.shape == (0, 3)
+        assert fc.backward(np.zeros((0, 3))).shape == (0, 2, 3, 3)
 
 
 # One small float64 instance of every layer kind, with an input shape whose
@@ -630,7 +651,7 @@ EVERY_LAYER_KIND = {
     "relu": (ReLU, (1, 2, 3, 3)),
     "batchnorm": (lambda: BatchNorm2d(2, dtype=np.float64), (2, 2, 3, 3)),
     "dense": (lambda: Dense(4, 3, dtype=np.float64), (2, 4)),
-    "flatten": (Flatten, (2, 2, 3, 3)),
+    "dense_maps": (lambda: Dense(18, 3, dtype=np.float64), (2, 2, 3, 3)),
     "conv2d": (lambda: Conv2d(2, 3, kernel=3, pad=1, dtype=np.float64), (2, 2, 5, 5)),
     "perceptron": (lambda: PerceptronPool(2, 2, dtype=np.float64), (1, 1, 4, 4)),
     "upsample": (lambda: PerceptronUpsample(2, units=4, dtype=np.float64), (1, 1, 4, 4)),
@@ -720,3 +741,22 @@ class TestSoftmaxXent:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             softmax_xent(np.zeros((2, 3)), np.array([0, 3]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pool_out_dim(4, 0, 1), "window and stride must be >= 1, got 0, 1"),
+    (lambda: pool_out_dim(4, 2, 0), "window and stride must be >= 1, got 2, 0"),
+    (lambda: Conv2d(1, 1, stride=0), "stride must be >= 1 and pad >= 0"),
+    (lambda: Conv2d(1, 1, pad=-1), "stride must be >= 1 and pad >= 0"),
+    (lambda: Conv2d(1, 1, kernel=5, pad=1).forward(np.zeros((1, 1, 2, 2), np.float32)),
+     "kernel (5, 5) does not fit input 2x2 with pad 1"),
+    (lambda: FixedPool("median"), "mode must be one of ('max', 'average'), got 'median'"),
+    (lambda: Dense(18, 3).forward(np.zeros((5, 2, 3, 4), np.float32)),
+     "fc: expected (batch, ...) of 18 features, got (5, 2, 3, 4)"),
+    (lambda: softmax_xent(np.zeros(3), np.zeros(3, int)), "logits must be (batch, classes), got (3,)"),
+    (lambda: softmax_xent(np.zeros((2, 3)), np.zeros((2, 1), int)), "labels must be (2,), got (2, 1)"),
+], ids=["window", "stride", "conv-stride", "conv-pad", "conv-kernel", "pool-mode", "dense-features",
+        "logits", "labels"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

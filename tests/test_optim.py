@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from perceptpool.config import TrainConfig
-from perceptpool.optim import Adam, ParamGroup, SGD
+from perceptpool.optim import Adam, ParamGroup, SGD, make_optimizer
 
 from oracles import adam_scalar_reference
 
@@ -135,3 +136,11 @@ class TestSchedule:
         cfg = self.config(1.0, 0.5, (5,))
         assert cfg.lr_at(4) == 1.0
         assert cfg.lr_at(5) == 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_optimizer("rmsprop", [], lr=0.1), "unknown optimizer 'rmsprop'"),
+], ids=["unknown-kind"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

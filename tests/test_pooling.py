@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -562,3 +563,15 @@ class TestComplexityProbe:
                 {"size": 16, "area": 256, "seconds": 1e-3, "reliable": True},
                 {"size": 32, "area": 1024, "seconds": 4e-3, "reliable": True}]
         assert loglog_slope(rows) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PerceptronPool(2, activation="tanh"),
+     "activation must be one of ('identity', 'relu'), got 'tanh'"),
+    (lambda: PerceptronPool(2, units=0), "units must be >= 1, got 0"),
+    (lambda: PerceptronPool(2, stride=0), "stride must be >= 1, got 0"),
+    (lambda: MlpPoolStack([]), "stack needs at least one layer"),
+], ids=["activation", "units", "stride", "empty-stack"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
