@@ -22,10 +22,8 @@ Every value rule is one row of the `(key, ok, rule)` table in
 `TrainConfig.__post_init__`. `POOLING_KINDS`, `OPTIMIZERS` and `DATA_KINDS`
 map each kind to the keys of its section that it reads (for pooling, what
 each kind builds; see models.make_pooling_slot). A key the chosen kind does
-not read must keep its default, so no setting is silently ignored. The
-retired keys `pooling.sharing`, `upsample.kind` and `upsample.units` were
-read by nothing; older echoes still load because their one echoed value is
-skipped, and any other value is rejected.
+not read must keep its default, so no setting is silently ignored. A key
+that `to_text` does not write is unknown.
 """
 
 from __future__ import annotations
@@ -60,8 +58,6 @@ OPTIMIZERS = {"sgd": ("lr", "momentum", "weight_decay"),
               "adam": ("lr", "beta1", "beta2", "weight_decay")}
 DATA_KINDS = {"synth": ("synth_train", "synth_val", "classes"),
               "cifar10": ("root", "augment", "train_size", "val_size")}
-# Retired keys and the one value every older echo carries.
-RETIRED = {"pooling.sharing": "global", "upsample.kind": "", "upsample.units": "4"}
 
 
 @dataclass
@@ -103,7 +99,7 @@ class TrainConfig:
     batch_balanced: bool = True
 
     def __post_init__(self):
-        units, classes = self.pooling_units, self.num_classes
+        units, classes, root = self.pooling_units, self.num_classes, self.data_root
         self.schedule_epochs = tuple(int(e) for e in self.schedule_epochs)
         chain = (-1, *self.schedule_epochs, self.epochs)  # each decay epoch in [0, epochs)
         synth, cifar = self.data_kind == "synth", self.data_kind == "cifar10"
@@ -120,13 +116,13 @@ class TrainConfig:
                 ("pooling.window", self.pooling_window >= 1, ">= 1"),
                 ("pooling.stride", self.pooling_stride >= 1, ">= 1"),
                 ("pooling.units", units >= 1 and math.isqrt(units) ** 2 == units, "a perfect square"),
-                ("pooling.lr_factor", self.pooling_lr_factor >= 0, ">= 0"),
-                ("pooling.wd_factor", self.pooling_wd_factor >= 0, ">= 0"),
+                ("pooling.lr_factor", 0 <= self.pooling_lr_factor < math.inf, ">= 0 and finite"),
+                ("pooling.wd_factor", 0 <= self.pooling_wd_factor < math.inf, ">= 0 and finite"),
                 ("pooling.activation", self.pooling_activation in ACTIVATIONS, f"one of {ACTIVATIONS}"),
                 ("pooling.init", self.pooling_init in INITS, f"one of {INITS}"),
                 ("optimizer.kind", self.optimizer_kind in OPTIMIZERS, f"one of {tuple(OPTIMIZERS)}"),
-                ("optimizer.lr", self.optimizer_lr > 0, "> 0"),
-                ("optimizer.weight_decay", self.optimizer_weight_decay >= 0, ">= 0"),
+                ("optimizer.lr", 0 < self.optimizer_lr < math.inf, "> 0 and finite"),
+                ("optimizer.weight_decay", 0 <= self.optimizer_weight_decay < math.inf, ">= 0 and finite"),
                 ("optimizer.momentum", 0 <= self.optimizer_momentum < 1, "in [0, 1)"),
                 # Adam divides by 1 - beta**t.
                 ("optimizer.beta1", 0 <= self.optimizer_beta1 < 1, "in [0, 1)"),
@@ -135,6 +131,9 @@ class TrainConfig:
                 ("schedule.epochs", all(a < b for a, b in zip(chain, chain[1:])),
                  f"strictly increasing, each in [0, epochs = {self.epochs})"),
                 ("data.kind", self.data_kind in DATA_KINDS, f"one of {tuple(DATA_KINDS)}"),
+                # parse_config strips each value and cuts it at '#', one line per key.
+                ("data.root", root == root.strip() and root.isprintable() and "#" not in root,
+                 "printable, without '#' or surrounding whitespace"),
                 # synth_dataset draws 2..4 blob classes; cifar10 reads no data.classes.
                 ("data.classes", not synth or self.data_classes in (0, 2, 3, 4), "0 or in 2..4"),
                 ("data.synth_train", not synth or self.data_synth_train >= 1, ">= 1"),
@@ -208,11 +207,6 @@ def parse_config(text: str) -> TrainConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if (first := first_line.setdefault(key, lineno)) != lineno:
             raise ValueError(f"lines {first} and {lineno} both set {key}")
-        if key in RETIRED:
-            if raw != RETIRED[key]:
-                raise ValueError(f"line {lineno}: {key} is retired; only its old default "
-                                 f"{RETIRED[key]!r} still loads, got {raw!r}")
-            continue
         if key not in _KEYMAP:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
@@ -223,7 +217,8 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    """Read a config file; any error raises a ValueError that starts with the path."""
+    """Read a config file. Malformed content raises a ValueError that starts
+    with the path; an I/O error propagates as an OSError."""
     try:
         return parse_config(Path(path).read_text())
     except ValueError as e:

@@ -108,38 +108,31 @@ def make_pooling_slot(cfg: TrainConfig, name: str, channels: int, dtype=np.float
                          name=name)]
 
 
-@dataclass(frozen=True)
-class _Block:
-    out_channels: int
-    batchnorm: bool
-
-
 _ARCH = {
-    # (input channels, input side, blocks)
-    "model_a_like": (3, 32, (_Block(64, True), _Block(128, True))),
-    "model_c_like": (3, 32, (_Block(64, False), _Block(128, False), _Block(256, False))),
-    "tiny_synth": (1, 16, (_Block(8, False),)),
+    # (input channels, input side, conv widths, batchnorm)
+    "model_a_like": (3, 32, (64, 128), True),
+    "model_c_like": (3, 32, (64, 128, 256), False),
+    "tiny_synth": (1, 16, (8,), False),
 }
 
 
 def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
     """Construct, bind and initialize the configured model."""
-    in_ch, side, blocks = _ARCH[cfg.model]
+    in_ch, side, widths, batchnorm = _ARCH[cfg.model]
     layers: list[Layer] = []
     slots: dict[str, list[Layer]] = {}
     shape = (in_ch, side, side)
-    for i, block in enumerate(blocks, start=1):
+    for i, width in enumerate(widths, start=1):
         # A BatchNorm2d subtracts the batch mean, so a bias in front of it is dead.
-        layers.append(Conv2d(shape[0], block.out_channels, kernel=3, stride=1, pad=1,
-                             use_bias=not block.batchnorm, rng=rng_for(cfg.seed, f"conv{i}"),
-                             dtype=dtype, name=f"conv{i}"))
-        if block.batchnorm:
-            layers.append(BatchNorm2d(block.out_channels, dtype=dtype, name=f"bn{i}"))
+        layers.append(Conv2d(shape[0], width, kernel=3, stride=1, pad=1, use_bias=not batchnorm,
+                             rng=rng_for(cfg.seed, f"conv{i}"), dtype=dtype, name=f"conv{i}"))
+        if batchnorm:
+            layers.append(BatchNorm2d(width, dtype=dtype, name=f"bn{i}"))
         layers.append(ReLU(name=f"relu{i}"))
-        slot_layers = make_pooling_slot(cfg, f"pool{i}", block.out_channels, dtype)
+        slot_layers = make_pooling_slot(cfg, f"pool{i}", width, dtype)
         # One forward of a zero sample binds the perceptron layers and gives
         # the slot's real output shape (a multi-unit slot may not halve it).
-        x = np.zeros((1, block.out_channels, *shape[1:]), dtype=dtype)
+        x = np.zeros((1, width, *shape[1:]), dtype=dtype)
         try:
             for sl in slot_layers:
                 x = sl.forward(x, train=False)

@@ -119,6 +119,15 @@ class TestTrainEvalCommands:
                   "--data", str(tmp_path)])
         assert not (tmp_path / "run").exists()
 
+    def test_data_root_its_echo_cannot_carry_rejected(self, tmp_path):
+        # the checkpoint echo would reload '/x#y' as '/x'
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("model = model_c_like\npooling.kind = max\ndata.kind = cifar10\n")
+        with pytest.raises(ValueError, match="^data.root must be printable, without '#' or "
+                                             "surrounding whitespace, got '/x#y'$"):
+            main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--data", "/x#y"])
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_runs_below_one_rejected(self, tiny_config_file, tmp_path, runs):
         with pytest.raises(ValueError, match=f"--runs must be >= 1, got {runs}"):

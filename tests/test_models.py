@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perceptpool.config import (DATA_KINDS, OPTIMIZERS, POOLING_KINDS, POOLINGS, RETIRED,
-                               TrainConfig, load_config, parse_config)
+from perceptpool.config import (DATA_KINDS, OPTIMIZERS, POOLING_KINDS, POOLINGS, TrainConfig,
+                               load_config, parse_config)
 from perceptpool import layers
 from perceptpool.layers import _BLAS_THREADS, Conv2d, _blocks, softmax_xent
 from perceptpool.models import _EVAL_BLOCK_BYTES, audit_params, build_model, rng_for
@@ -34,8 +34,6 @@ NON_DEFAULT_SECTION = {
     "data": {"root": "data/cifar", "augment": "true", "train_size": 100, "val_size": 100,
              "synth_train": 100, "synth_val": 100, "classes": 2},
 }
-NON_DEFAULT_RETIRED = {"pooling.sharing": "per_field", "upsample.kind": "nn_up",
-                       "upsample.units": "16"}
 # Each key is left unset or drawn from these values, valid or not.
 CONTRACT_DRAWS = {
     "pooling.window": st.integers(1, 4),
@@ -46,7 +44,6 @@ CONTRACT_DRAWS = {
     "pooling.lr_factor": st.sampled_from([0.5, -1]),
     "pooling.wd_factor": st.just(0.01),
     "pooling.init": st.sampled_from(["pattern", "glorot"]),
-    **{key: st.sampled_from([default, NON_DEFAULT_RETIRED[key]]) for key, default in RETIRED.items()},
 }
 
 
@@ -85,9 +82,7 @@ class TestConfig:
         ("pooling.kind = max\npooling.kind = perceptron\n", "lines 1 and 2 both set pooling.kind"),
         ("optimizer.lr = 0.1\n# same value\noptimizer.lr = 0.1\n",
          "lines 1 and 3 both set optimizer.lr"),
-        ("pooling.sharing = global\npooling.sharing = global\n",
-         "lines 1 and 2 both set pooling.sharing"),
-    ], ids=["same-spelling", "kind-twice", "same-value", "retired-key"])
+    ], ids=["same-spelling", "kind-twice", "same-value"])
     def test_key_given_twice_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text)
@@ -109,9 +104,14 @@ class TestConfig:
         ("optimizer.kind = sgd\noptimizer.beta2 = 1.5\n",
          "optimizer.beta2 must be in [0, 1), got 1.5"),
         ("pooling.units = 2\n", "pooling.units must be a perfect square, got 2"),
-        ("optimizer.lr = -1\n", "optimizer.lr must be > 0, got -1.0"),
-        ("optimizer.lr = 0\n", "optimizer.lr must be > 0, got 0.0"),
-        ("optimizer.weight_decay = -1\n", "optimizer.weight_decay must be >= 0, got -1.0"),
+        ("optimizer.lr = -1\n", "optimizer.lr must be > 0 and finite, got -1.0"),
+        ("optimizer.lr = 0\n", "optimizer.lr must be > 0 and finite, got 0.0"),
+        ("optimizer.lr = inf\n", "optimizer.lr must be > 0 and finite, got inf"),
+        ("optimizer.weight_decay = -1\n", "optimizer.weight_decay must be >= 0 and finite, got -1.0"),
+        ("optimizer.weight_decay = inf\n",
+         "optimizer.weight_decay must be >= 0 and finite, got inf"),
+        ("pooling.lr_factor = inf\n", "pooling.lr_factor must be >= 0 and finite, got inf"),
+        ("pooling.wd_factor = inf\n", "pooling.wd_factor must be >= 0 and finite, got inf"),
         ("optimizer.kind = sgd\noptimizer.momentum = 2\n",
          "optimizer.momentum must be in [0, 1), got 2.0"),
         ("optimizer.kind = sgd\noptimizer.momentum = 1\n",
@@ -152,7 +152,8 @@ class TestConfig:
         ("data.kind = cifar10\ndata.train_size = 100\nbatch.size = 200\n",
          "batch.size must be <= data.train_size = 100, got 200"),
     ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "pooling-message-unchanged",
-            "lr<0", "lr=0", "wd<0", "momentum>1", "momentum=1", "factor=0", "factor>1",
+            "lr<0", "lr=0", "lr=inf", "wd<0", "wd=inf", "lr_factor=inf", "wd_factor=inf",
+            "momentum>1", "momentum=1", "factor=0", "factor>1",
             "decay<0", "decay-decreasing", "decay-repeated", "decay=epochs", "batch=0",
             "unbalanced-batch<0", "batch-not-multiple", "cifar-batch-not-multiple",
             "classes>4", "classes=1", "synth_train=0", "synth_train<0", "synth_val=0",
@@ -216,15 +217,33 @@ class TestConfig:
             with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
                 load_config(path)
 
-    @pytest.mark.parametrize("key", RETIRED)
-    def test_retired_key(self, key):
-        for kind in POOLINGS:
-            # the one value older checkpoint and metrics echoes carry still loads
-            cfg = parse_config(f"pooling.kind = {kind}\n{key} = {RETIRED[key]}\n")
-            assert cfg == TrainConfig(pooling_kind=kind)
-            assert key not in cfg.to_text()
-            with pytest.raises(ValueError, match=f"{key} is retired"):
-                parse_config(f"pooling.kind = {kind}\n{key} = {NON_DEFAULT_RETIRED[key]}\n")
+    @pytest.mark.parametrize("key, value", [("pooling.sharing", "global"), ("upsample.kind", ""),
+                                            ("upsample.units", "4")])
+    def test_keys_nothing_writes_are_unknown(self, key, value):
+        with pytest.raises(ValueError, match="^" + re.escape(f"line 1: unknown config key {key!r}")):
+            parse_config(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("root", ["/a#b", "/a\nb", " /a", "/a\t"],
+                             ids=["comment", "line-break", "leading-space", "trailing-tab"])
+    def test_data_root_its_echo_cannot_carry_rejected(self, root):
+        # parse_config cuts a value at '#' and strips it, one line per key
+        with pytest.raises(ValueError, match="^data.root must be printable, without '#' or "
+                                             "surrounding whitespace, got "):
+            TrainConfig(data_kind="cifar10", data_root=root)
+
+    def test_data_root_with_inner_space_round_trips(self):
+        cfg = TrainConfig(data_kind="cifar10", data_root="/data/cifar 10")
+        assert parse_config(cfg.to_text()) == cfg
+
+    @settings(max_examples=200)
+    @given(root=st.text())
+    def test_accepted_data_root_survives_its_echo(self, root):
+        try:
+            cfg = TrainConfig(data_kind="cifar10", data_root=root)
+        except ValueError as e:
+            assert str(e).startswith("data.root must be "), str(e)
+            return
+        assert parse_config(cfg.to_text()) == cfg
 
     @settings(max_examples=100)
     @given(kind=st.sampled_from(POOLINGS),
@@ -240,6 +259,7 @@ class TestConfig:
         except ValueError as e:
             assert any(key in str(e) for key in keys), (text, str(e))
             return
+        assert parse_config(cfg.to_text()) == cfg
         optimizer = make_optimizer(cfg.optimizer_kind, model.param_groups(), lr=cfg.optimizer_lr,
                                    weight_decay=cfg.optimizer_weight_decay)
         x = np.random.default_rng(0).normal(size=(4, 1, 16, 16)).astype(np.float32)

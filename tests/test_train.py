@@ -297,19 +297,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: config: epochs must be >= 1")):
             load_checkpoint(bad)
 
-    def test_older_echo_with_retired_keys_loads(self, tmp_path):
-        # older checkpoints echo pooling.sharing, upsample.kind and upsample.units
-        result = train(tiny_config(), tmp_path / "run")
-        echo = tiny_config().to_text()
-        old_echo = (echo.replace("pooling.units = 1\n", "pooling.units = 1\npooling.sharing = global\n")
-                    .replace("pooling.init = average\n",
-                             "pooling.init = average\nupsample.kind = \nupsample.units = 4\n"))
-        assert old_echo.count("\n") == echo.count("\n") + 3
-        old = tmp_path / "old.ckpt"
-        with old.open("wb") as f:
-            np.savez(f, **archive_members(result.model, old_echo))
-        assert load_checkpoint(old)[1] == tiny_config()
-        assert evaluate_checkpoint(old) == result.final_val_acc
+    def test_echo_with_a_key_nothing_writes_names_the_file_and_key(self, tmp_path):
+        cfg = tiny_config()
+        echo = cfg.to_text().replace("pooling.units = 1\n",
+                                     "pooling.units = 1\npooling.sharing = global\n")
+        assert echo.count("\n") == cfg.to_text().count("\n") + 1
+        bad = tmp_path / "bad.ckpt"
+        with bad.open("wb") as f:
+            np.savez(f, **archive_members(build_model(cfg), echo))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: config: line ")
+                           + r"\d+: unknown config key 'pooling.sharing'"):
+            load_checkpoint(bad)
 
     def test_checkpoint_with_dead_conv_biases_names_the_file(self, tmp_path):
         # model_a_like checkpoints written while conv1 and conv2 had biases
