@@ -18,12 +18,13 @@ included) in a stable order, which is what gets echoed into metrics files
 and checkpoints for provenance, so an echo loads back as the same config.
 Unknown keys are rejected, and so is a key given twice.
 
-Every value rule is one row of the `(key, ok, rule)` table in
-`TrainConfig.__post_init__`. `POOLING_KINDS`, `OPTIMIZERS` and `DATA_KINDS`
-map each kind to the keys of its section that it reads (for pooling, what
-each kind builds; see models.make_pooling_slot). A key the chosen kind does
-not read must keep its default, so no setting is silently ignored. A key
-that `to_text` does not write is unknown.
+Every field must hold its type (an int serves as a float), and every value
+rule is one row of the `(key, ok, rule)` table in `TrainConfig.__post_init__`.
+`POOLING_KINDS`, `OPTIMIZERS` and `DATA_KINDS` map each kind to the keys of
+its section that it reads (for pooling, what each kind builds; see
+models.make_pooling_slot). A key the chosen kind does not read must keep its
+default, so no setting is silently ignored. A key that `to_text` does not
+write is unknown.
 """
 
 from __future__ import annotations
@@ -99,8 +100,11 @@ class TrainConfig:
     batch_balanced: bool = True
 
     def __post_init__(self):
+        for key, f in _KEYMAP.items():  # a value of another type does not survive its echo
+            has_type, rule = _TYPES[type(f.default)]
+            if not has_type(value := getattr(self, f.name)):
+                raise ValueError(f"{key} must be {rule}, got {value!r}")
         units, classes, root = self.pooling_units, self.num_classes, self.data_root
-        self.schedule_epochs = tuple(int(e) for e in self.schedule_epochs)
         chain = (-1, *self.schedule_epochs, self.epochs)  # each decay epoch in [0, epochs)
         synth, cifar = self.data_kind == "synth", self.data_kind == "cifar10"
 
@@ -181,6 +185,14 @@ class TrainConfig:
 
 # The one spelling of each field: its name with the first "_" made a ".".
 _KEYMAP = {f.name.replace("_", ".", 1): f for f in fields(TrainConfig)}
+# A field's type -> (whether a value's echo loads back equal, the rule).
+_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, tuple) and all(map(_TYPES[int][0], v)), "a tuple of ints"),
+}
 
 
 def _coerce(f, raw: str):

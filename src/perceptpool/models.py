@@ -28,16 +28,19 @@ from .layers import (BatchNorm2d, Conv2d, Dense, FixedPool, Layer, ReLU, _blocks
 from .pooling import MlpPoolStack, PerceptronPool
 
 # An eval forward runs the batch in blocks of about this many bytes of input,
-# each block through every layer before the next block starts, so a layer's
-# output is still in cache when the next layer reads it and no layer allocates
-# a whole-batch activation (conv1 of model_c_like: 65.5 MB for 250 images, past
-# glibc's mmap threshold, so paged in afresh on every call). 128 KiB is 10
-# images of 3x32x32 float32, so two walkers (layers._map_blocks) hold what one
-# held at 256 KiB. A sweep over images per block with two walkers (model_c_like,
-# max pooling, 250-image eval, 2 vCPUs, OpenBLAS, median of 15 interleaved
-# rounds, two processes) gave 250 (one block, one walker): 429-468 ms,
-# 63: 265-288, 42: 224-242, 25: 196-218, 21: 186-195, 16: 190-191,
-# 12: 189-191, 10: 176-188, 8: 183-186, 5: 171-192 ms.
+# each block through every layer on one walker (layers._map_blocks), so a
+# layer's output is still in cache when the next layer reads it and no layer
+# allocates a whole-batch activation (conv1 of model_c_like: 65.5 MB for 250
+# images, past glibc's mmap threshold, so paged in afresh on every call). 128
+# KiB is 10 images of 3x32x32 float32. Measured on model_c_like, max pooling,
+# a 250-image eval, 2 vCPUs, OpenBLAS, the median of 15 calls per process:
+# - walked blocks, by images per block: 63: 265-288, 42: 224-242, 25: 196-218,
+#   21: 186-195, 16: 190-191, 12: 189-191, 10: 176-188, 8: 183-186, 5: 171-192 ms;
+# - against the image blocks run one after another, each layer walking its
+#   own blocks (three processes each): walked 10-image blocks 162-215 ms at
+#   59 MB peak RSS; in sequence at 128 KiB 257-280 ms at 58 MB, at 512 KiB
+#   226-263 ms at 75 MB, at 1 MiB 218-243 ms at 86-99 MB; one 250-image block
+#   213-238 ms at 209 MB.
 _EVAL_BLOCK_BYTES = 128 << 10
 
 
@@ -119,55 +122,41 @@ _ARCH = {
 def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
     """Construct, bind and initialize the configured model."""
     in_ch, side, widths, batchnorm = _ARCH[cfg.model]
-    layers: list[Layer] = []
-    slots: dict[str, list[Layer]] = {}
-    shape = (in_ch, side, side)
-    for i, width in enumerate(widths, start=1):
+    model = Sequential([], name=cfg.model)
+    for i, (channels, width) in enumerate(zip((in_ch, *widths), widths), start=1):
         # A BatchNorm2d subtracts the batch mean, so a bias in front of it is dead.
-        layers.append(Conv2d(shape[0], width, kernel=3, stride=1, pad=1, use_bias=not batchnorm,
-                             rng=rng_for(cfg.seed, f"conv{i}"), dtype=dtype, name=f"conv{i}"))
+        model.layers.append(Conv2d(channels, width, kernel=3, stride=1, pad=1, use_bias=not batchnorm,
+                                   rng=rng_for(cfg.seed, f"conv{i}"), dtype=dtype, name=f"conv{i}"))
         if batchnorm:
-            layers.append(BatchNorm2d(width, dtype=dtype, name=f"bn{i}"))
-        layers.append(ReLU(name=f"relu{i}"))
-        slot_layers = make_pooling_slot(cfg, f"pool{i}", width, dtype)
-        # One forward of a zero sample binds the perceptron layers and gives
-        # the slot's real output shape (a multi-unit slot may not halve it).
-        x = np.zeros((1, width, *shape[1:]), dtype=dtype)
-        try:
-            for sl in slot_layers:
-                x = sl.forward(x, train=False)
-        except ValueError as e:  # a window/stride pair that does not tile this input
-            raise ValueError(f"pooling.window = {cfg.pooling_window}, "
-                             f"pooling.stride = {cfg.pooling_stride}: {e}") from None
-        layers.extend(slot_layers)
-        slots[f"pool{i}"] = slot_layers
-        shape = x.shape[1:]
-    layers.append(Dense(math.prod(shape), cfg.num_classes,
-                        rng=rng_for(cfg.seed, "fc"), dtype=dtype, name="fc"))
-    model = Sequential(layers, name=cfg.model)
-    model.slots = slots
+            model.layers.append(BatchNorm2d(width, dtype=dtype, name=f"bn{i}"))
+        model.layers.append(ReLU(name=f"relu{i}"))
+        model.slots[f"pool{i}"] = make_pooling_slot(cfg, f"pool{i}", width, dtype)
+        model.layers.extend(model.slots[f"pool{i}"])
+    # One eval forward of an empty batch binds the perceptron slots and gives
+    # the pooled maps' real shape (a multi-unit slot may not halve its input).
+    try:
+        pooled = model.forward(np.zeros((0, in_ch, side, side), dtype=dtype), train=False)
+    except ValueError as e:  # a window/stride pair that does not tile a slot's input
+        raise ValueError(f"pooling.window = {cfg.pooling_window}, "
+                         f"pooling.stride = {cfg.pooling_stride}: {e}") from None
+    model.layers.append(Dense(math.prod(pooled.shape[1:]), cfg.num_classes,
+                              rng=rng_for(cfg.seed, "fc"), dtype=dtype, name="fc"))
     return model
 
 
 @dataclass
-class AuditRow:
-    slot: str
-    params: int
-
-
-@dataclass
 class AuditResult:
-    rows: list[AuditRow]
-    pooling_total: int
+    slots: dict[str, int]  # slot name -> learnable parameters, in model order
     model_total: int
 
+    @property
+    def pooling_total(self) -> int:
+        return sum(self.slots.values())
+
     def format(self) -> str:
-        lines = [f"{'slot':<10} {'params':>10}"]
-        for row in self.rows:
-            lines.append(f"{row.slot:<10} {row.params:>10}")
-        lines.append(f"{'pooling':<10} {self.pooling_total:>10}")
-        lines.append(f"{'model':<10} {self.model_total:>10}")
-        return "\n".join(lines)
+        rows = [("slot", "params"), *self.slots.items(),
+                ("pooling", self.pooling_total), ("model", self.model_total)]
+        return "\n".join(f"{name:<10} {count:>10}" for name, count in rows)
 
 
 def audit_params(cfg: TrainConfig) -> AuditResult:
@@ -177,11 +166,7 @@ def audit_params(cfg: TrainConfig) -> AuditResult:
     the test suite checks against the arrays.
     """
     model = build_model(cfg)
-    rows = []
-    total_pooling = 0
-    for name, slot_layers in model.slots.items():
-        count = sum(g.param.size for layer in slot_layers for g in layer.param_groups())
-        rows.append(AuditRow(slot=name, params=count))
-        total_pooling += count
-    model_total = sum(g.param.size for g in model.param_groups())
-    return AuditResult(rows=rows, pooling_total=total_pooling, model_total=model_total)
+    return AuditResult(
+        slots={name: sum(g.param.size for layer in slot for g in layer.param_groups())
+               for name, slot in model.slots.items()},
+        model_total=sum(g.param.size for g in model.param_groups()))

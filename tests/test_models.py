@@ -175,6 +175,22 @@ class TestConfig:
         cfg = parse_config(text)
         assert parse_config(cfg.to_text()) == cfg
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": 2.5}, "epochs must be an int, got 2.5"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"pooling_window": True}, "pooling.window must be an int, got True"),
+        ({"batch_balanced": "yes"}, "batch.balanced must be true or false, got 'yes'"),
+        ({"schedule_epochs": (2.5,)}, "schedule.epochs must be a tuple of ints, got (2.5,)"),
+    ], ids=["float-epochs", "float-seed", "bool-window", "str-balanced", "float-decay-epoch"])
+    def test_value_of_another_type_rejected(self, kwargs, message):
+        # its echo would not load back as the same config
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            TrainConfig(**kwargs)
+
+    def test_int_in_a_float_field_round_trips(self):
+        cfg = TrainConfig(optimizer_lr=1)
+        assert parse_config(cfg.to_text()) == cfg
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(pooling_kind="wavelet")
@@ -270,10 +286,12 @@ class TestConfig:
         assert np.isfinite(loss)
 
     def test_shipped_configs_parse(self):
+        # the audit builds the model, which needs no data: a builder change
+        # that breaks a shipped config fails here, not in a user's run
         paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
         assert paths
         for path in paths:
-            load_config(path)
+            audit_params(load_config(path))
 
 
 class TestBuildModel:
@@ -332,6 +350,17 @@ class TestBuildModel:
                     if specs else [("pool1", 1, (4, 4), 4)])
         assert [(l.name, l.units, l.window, l.stride) for l in built] == expected
         assert all(l.sharing is sharing for l in built)
+
+    @pytest.mark.parametrize("model, window, message", [
+        ("tiny_synth", 3, "pool1: window 3/stride 3 does not tile input dim 16 exactly"),
+        ("model_c_like", 4, "pool3: input dim 2 smaller than window 4"),
+    ])
+    def test_slot_that_does_not_fit_is_named(self, model, window, message):
+        cfg = TrainConfig(model=model, pooling_window=window, pooling_stride=window,
+                          data_kind="synth" if model == "tiny_synth" else "cifar10")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"pooling.window = {window}, pooling.stride = {window}: {message}") + "$"):
+            build_model(cfg)
 
     def test_rng_for_is_stable(self):
         a = rng_for(3, "conv1").normal(size=4)
@@ -625,7 +654,14 @@ class TestAuditParams:
         cfg = TrainConfig(model="model_a_like", pooling_kind="perceptron", data_kind="cifar10")
         assert audit_params(cfg).model_total == 157_780
 
-    def test_format_lists_each_slot(self):
-        cfg = TrainConfig(model="model_c_like", pooling_kind="perceptron", data_kind="cifar10")
-        text = audit_params(cfg).format()
-        assert "pool1" in text and "pool3" in text and "model" in text
+    @pytest.mark.parametrize("model, pooling, lines", [
+        ("model_c_like", "perceptron", ["slot           params", "pool1               5",
+                                        "pool2               5", "pool3               5",
+                                        "pooling            15", "model          411801"]),
+        ("model_a_like", "strided_conv", ["slot           params", "pool1           16448",
+                                          "pool2           65664", "pooling         82112",
+                                          "model          239882"]),
+    ])
+    def test_format_lists_each_slot(self, model, pooling, lines):
+        cfg = TrainConfig(model=model, pooling_kind=pooling, data_kind="cifar10")
+        assert audit_params(cfg).format() == "\n".join(lines)
