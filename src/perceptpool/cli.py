@@ -3,11 +3,11 @@
 Subcommands: train, eval, gradcheck, audit. The dataset root
 for CIFAR-10 comes from --data, the config, or $PERCEPTPOOL_DATA_ROOT.
 
-gradcheck reads a pooling-kind spec as a config: `nn_field:units=4` is
-`pooling.kind = nn_field` plus `pooling.units = 4`, checked like any config
-and built by models.make_pooling_slot. The other specs are conv2d, dense,
-batchnorm, relu and upsample; only upsample takes options (units, window,
-activation).
+gradcheck reads a pooling-kind spec as a config: `nn_field:use_bias=false`
+is `pooling.kind = nn_field` plus `pooling.use_bias = false`, checked like
+any config and built by models.make_pooling_slot. The other specs are
+conv2d, dense, batchnorm, relu and upsample; only upsample takes options
+(units, window, activation).
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of one layer")
     p.add_argument("--layer", required=True,
-                   help="a pooling kind with pooling.* options (e.g. nn_field:units=4,activation=relu), "
-                        "conv2d, dense, batchnorm, relu, or upsample:units=16")
+                   help="a pooling kind with pooling.* options (e.g. nn_field:use_bias=false,"
+                        "activation=relu), conv2d, dense, batchnorm, relu, or upsample:units=16")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

@@ -37,21 +37,19 @@ from .pooling import ACTIVATIONS, Sharing
 
 MODELS = ("model_a_like", "model_c_like", "tiny_synth")
 # kind -> None for the fixed and strided-convolution baselines, or
-# (sharing mode, specs): specs None builds one PerceptronPool from
-# pooling.units/window/stride, a tuple of (units, window, stride) builds an
-# MlpPoolStack of those layers.
+# (sharing mode, specs): one (units, window, stride) spec builds a
+# PerceptronPool, several build an MlpPoolStack of those layers.
 POOLING_KINDS = {
     "max": None, "average": None, "strided_conv": None,
-    "perceptron": (Sharing.GLOBAL, None),
+    "perceptron": (Sharing.GLOBAL, ((1, 2, 2),)),
     "nn_4_1": (Sharing.GLOBAL, ((4, 2, 2), (1, 2, 2))),
     "nn_16_1": (Sharing.GLOBAL, ((16, 2, 2), (1, 4, 4))),
-    "nn_z": (Sharing.PER_CHANNEL, None),
-    "nn_field": (Sharing.PER_FIELD, None),
-    "nn_tensor": (Sharing.PER_TENSOR, None),
+    "nn_z": (Sharing.PER_CHANNEL, ((1, 2, 2),)),
+    "nn_field": (Sharing.PER_FIELD, ((1, 2, 2),)),
+    "nn_tensor": (Sharing.PER_TENSOR, ((1, 2, 2),)),
 }
 POOLINGS = tuple(POOLING_KINDS)
 _NEURON_KEYS = ("activation", "use_bias", "lr_factor", "wd_factor", "init")
-_WINDOW_KEYS = ("window", "stride", "units")
 INITS = ("average", "pattern", "glorot")
 # kind -> the optimizer.* and data.* keys it reads (see optim.make_optimizer
 # and train.prepare_data; only raw cifar10 batches are augmented).
@@ -68,9 +66,6 @@ class TrainConfig:
     seed: int = 1
 
     pooling_kind: str = "perceptron"
-    pooling_window: int = 2
-    pooling_stride: int = 2
-    pooling_units: int = 1
     pooling_activation: str = "identity"
     pooling_use_bias: bool = True
     pooling_lr_factor: float = 0.1
@@ -104,7 +99,7 @@ class TrainConfig:
             has_type, rule = _TYPES[type(f.default)]
             if not has_type(value := getattr(self, f.name)):
                 raise ValueError(f"{key} must be {rule}, got {value!r}")
-        units, classes, root = self.pooling_units, self.num_classes, self.data_root
+        classes, root = self.num_classes, self.data_root
         chain = (-1, *self.schedule_epochs, self.epochs)  # each decay epoch in [0, epochs)
         synth, cifar = self.data_kind == "synth", self.data_kind == "cifar10"
 
@@ -117,9 +112,6 @@ class TrainConfig:
                 ("model", self.model in MODELS, f"one of {MODELS}"),
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("pooling.kind", self.pooling_kind in POOLING_KINDS, f"one of {POOLINGS}"),
-                ("pooling.window", self.pooling_window >= 1, ">= 1"),
-                ("pooling.stride", self.pooling_stride >= 1, ">= 1"),
-                ("pooling.units", units >= 1 and math.isqrt(units) ** 2 == units, "a perfect square"),
                 ("pooling.lr_factor", 0 <= self.pooling_lr_factor < math.inf, ">= 0 and finite"),
                 ("pooling.wd_factor", 0 <= self.pooling_wd_factor < math.inf, ">= 0 and finite"),
                 ("pooling.activation", self.pooling_activation in ACTIVATIONS, f"one of {ACTIVATIONS}"),
@@ -153,8 +145,7 @@ class TrainConfig:
                  f"<= {train_key} = {train_n}")):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key.replace('.', '_'))!r}")
-        entry = POOLING_KINDS[self.pooling_kind]
-        reads = {"pooling": () if entry is None else _NEURON_KEYS + (() if entry[1] else _WINDOW_KEYS),
+        reads = {"pooling": () if POOLING_KINDS[self.pooling_kind] is None else _NEURON_KEYS,
                  "optimizer": OPTIMIZERS[self.optimizer_kind], "data": DATA_KINDS[self.data_kind]}
         for f in fields(self):
             section, _, key = f.name.partition("_")

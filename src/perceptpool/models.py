@@ -85,9 +85,8 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
 
 
 def make_pooling_slot(cfg: TrainConfig, name: str, channels: int, dtype=np.float32) -> list[Layer]:
-    """Layers implementing one pooling slot, as config.POOLING_KINDS defines
-    it (a 2x spatial reduction, unless pooling.window/stride/units give
-    another)."""
+    """Layers implementing one pooling slot, a 2x spatial reduction, as
+    config.POOLING_KINDS defines it."""
     if cfg.pooling_kind == "strided_conv":
         # The strided-convolution baseline performs best with its ReLU kept.
         conv = Conv2d(channels, channels, kernel=2, stride=2, pad=0,
@@ -105,8 +104,8 @@ def make_pooling_slot(cfg: TrainConfig, name: str, channels: int, dtype=np.float
             init=cfg.pooling_init, rng=rng_for(cfg.seed, layer_name), dtype=dtype, name=layer_name,
         )
 
-    if specs is None:
-        return [perceptron(cfg.pooling_units, cfg.pooling_window, cfg.pooling_stride, name)]
+    if len(specs) == 1:
+        return [perceptron(*specs[0], name)]
     return [MlpPoolStack([perceptron(*spec, f"{name}.{i}") for i, spec in enumerate(specs)],
                          name=name)]
 
@@ -133,12 +132,8 @@ def build_model(cfg: TrainConfig, dtype=np.float32) -> Sequential:
         model.slots[f"pool{i}"] = make_pooling_slot(cfg, f"pool{i}", width, dtype)
         model.layers.extend(model.slots[f"pool{i}"])
     # One eval forward of an empty batch binds the perceptron slots and gives
-    # the pooled maps' real shape (a multi-unit slot may not halve its input).
-    try:
-        pooled = model.forward(np.zeros((0, in_ch, side, side), dtype=dtype), train=False)
-    except ValueError as e:  # a window/stride pair that does not tile a slot's input
-        raise ValueError(f"pooling.window = {cfg.pooling_window}, "
-                         f"pooling.stride = {cfg.pooling_stride}: {e}") from None
+    # the pooled maps' shape.
+    pooled = model.forward(np.zeros((0, in_ch, side, side), dtype=dtype), train=False)
     model.layers.append(Dense(math.prod(pooled.shape[1:]), cfg.num_classes,
                               rng=rng_for(cfg.seed, "fc"), dtype=dtype, name="fc"))
     return model

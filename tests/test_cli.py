@@ -62,8 +62,8 @@ class TestGradcheckCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_spec_options_change_construction(self):
-        layer, _ = build_check_layer("nn_field:units=4,activation=relu")
-        assert layer.units == 4
+        layer, _ = build_check_layer("nn_field:use_bias=false,activation=relu")
+        assert layer.use_bias is False
         assert layer.activation == "relu"
         assert layer.sharing.value == "per_field"
 

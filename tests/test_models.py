@@ -7,27 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perceptpool.config import (DATA_KINDS, OPTIMIZERS, POOLING_KINDS, POOLINGS, TrainConfig,
-                               load_config, parse_config)
+from perceptpool.config import (DATA_KINDS, MODELS, OPTIMIZERS, POOLING_KINDS, POOLINGS,
+                               TrainConfig, load_config, parse_config)
 from perceptpool import layers
 from perceptpool.layers import _BLAS_THREADS, Conv2d, _blocks, softmax_xent
-from perceptpool.models import _EVAL_BLOCK_BYTES, audit_params, build_model, rng_for
+from perceptpool.models import _ARCH, _EVAL_BLOCK_BYTES, audit_params, build_model, rng_for
 from perceptpool.optim import make_optimizer
 from perceptpool.pooling import MlpPoolStack, PerceptronPool
 
 from oracles import add_conv_biases, multi_block_batch, run_python
 
 
-NON_DEFAULT_POOLING = {"window": 4, "stride": 4, "units": 4,
-                       "activation": "relu", "use_bias": "false", "lr_factor": 0.5,
+NON_DEFAULT_POOLING = {"activation": "relu", "use_bias": "false", "lr_factor": 0.5,
                        "wd_factor": 0.01, "init": "glorot"}
 _ALL = tuple(NON_DEFAULT_POOLING)
-UNREAD_POOLING_KEYS = {
-    "max": _ALL, "average": _ALL, "strided_conv": _ALL,
-    "perceptron": (), "nn_z": (), "nn_field": (), "nn_tensor": (),
-    "nn_4_1": ("window", "stride", "units"),
-    "nn_16_1": ("window", "stride", "units"),
-}
+UNREAD_POOLING_KEYS = {kind: _ALL if entry is None else () for kind, entry in POOLING_KINDS.items()}
 SECTION_KINDS = {"optimizer": OPTIMIZERS, "data": DATA_KINDS}
 NON_DEFAULT_SECTION = {
     "optimizer": {"lr": 0.5, "momentum": 0.5, "beta1": 0.5, "beta2": 0.5, "weight_decay": 0.01},
@@ -36,9 +30,6 @@ NON_DEFAULT_SECTION = {
 }
 # Each key is left unset or drawn from these values, valid or not.
 CONTRACT_DRAWS = {
-    "pooling.window": st.integers(1, 4),
-    "pooling.stride": st.integers(1, 4),
-    "pooling.units": st.sampled_from([1, 2, 4]),
     "pooling.activation": st.sampled_from(["relu", "tanh"]),
     "pooling.use_bias": st.just("false"),
     "pooling.lr_factor": st.sampled_from([0.5, -1]),
@@ -103,7 +94,6 @@ class TestConfig:
         ("optimizer.beta2 = 1\n", "optimizer.beta2 must be in [0, 1), got 1.0"),
         ("optimizer.kind = sgd\noptimizer.beta2 = 1.5\n",
          "optimizer.beta2 must be in [0, 1), got 1.5"),
-        ("pooling.units = 2\n", "pooling.units must be a perfect square, got 2"),
         ("optimizer.lr = -1\n", "optimizer.lr must be > 0 and finite, got -1.0"),
         ("optimizer.lr = 0\n", "optimizer.lr must be > 0 and finite, got 0.0"),
         ("optimizer.lr = inf\n", "optimizer.lr must be > 0 and finite, got inf"),
@@ -151,8 +141,7 @@ class TestConfig:
          "batch.size must be <= data.synth_train = 40, got 41"),
         ("data.kind = cifar10\ndata.train_size = 100\nbatch.size = 200\n",
          "batch.size must be <= data.train_size = 100, got 200"),
-    ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "pooling-message-unchanged",
-            "lr<0", "lr=0", "lr=inf", "wd<0", "wd=inf", "lr_factor=inf", "wd_factor=inf",
+    ], ids=["beta1=1", "beta1<0", "beta2=1", "sgd-beta2>1", "lr<0", "lr=0", "lr=inf", "wd<0", "wd=inf", "lr_factor=inf", "wd_factor=inf",
             "momentum>1", "momentum=1", "factor=0", "factor>1",
             "decay<0", "decay-decreasing", "decay-repeated", "decay=epochs", "batch=0",
             "unbalanced-batch<0", "batch-not-multiple", "cifar-batch-not-multiple",
@@ -178,10 +167,10 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"epochs": 2.5}, "epochs must be an int, got 2.5"),
         ({"seed": 1.5}, "seed must be an int, got 1.5"),
-        ({"pooling_window": True}, "pooling.window must be an int, got True"),
+        ({"batch_size": True}, "batch.size must be an int, got True"),
         ({"batch_balanced": "yes"}, "batch.balanced must be true or false, got 'yes'"),
         ({"schedule_epochs": (2.5,)}, "schedule.epochs must be a tuple of ints, got (2.5,)"),
-    ], ids=["float-epochs", "float-seed", "bool-window", "str-balanced", "float-decay-epoch"])
+    ], ids=["float-epochs", "float-seed", "bool-batch-size", "str-balanced", "float-decay-epoch"])
     def test_value_of_another_type_rejected(self, kwargs, message):
         # its echo would not load back as the same config
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -233,8 +222,9 @@ class TestConfig:
             with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
                 load_config(path)
 
-    @pytest.mark.parametrize("key, value", [("pooling.sharing", "global"), ("upsample.kind", ""),
-                                            ("upsample.units", "4")])
+    @pytest.mark.parametrize("key, value", [
+        ("pooling.sharing", "global"), ("pooling.window", "2"), ("pooling.stride", "2"),
+        ("pooling.units", "1"), ("upsample.kind", ""), ("upsample.units", "4")])
     def test_keys_nothing_writes_are_unknown(self, key, value):
         with pytest.raises(ValueError, match="^" + re.escape(f"line 1: unknown config key {key!r}")):
             parse_config(f"{key} = {value}\n")
@@ -324,43 +314,32 @@ class TestBuildModel:
         for pooling, w in seeds.items():
             assert np.array_equal(base, w), pooling
 
-    def test_multi_unit_slot_sizes_the_layers_after_it(self):
-        # four units at stride two keep the spatial size, so neither the next
-        # slot nor the classifier may assume a halving
-        cfg = TrainConfig(model="model_c_like", pooling_kind="perceptron", pooling_units=4,
-                          data_kind="cifar10")
-        model = build_model(cfg)
-        x = np.random.default_rng(5).normal(size=(2, 3, 32, 32)).astype(np.float32)
-        out = model.forward(x)
-        assert out.shape == (2, 10)
-        assert model.backward(np.ones_like(out)).shape == x.shape
-
     @pytest.mark.parametrize("kind", POOLINGS)
-    def test_slot_follows_the_kind_table(self, kind):
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_slot_follows_the_kind_table(self, model_name, kind):
+        cfg = TrainConfig(model=model_name, pooling_kind=kind,
+                          data_kind="synth" if model_name == "tiny_synth" else "cifar10")
+        model = build_model(cfg)
+        # each layer's input and output shape in build_model's empty-batch forward
+        in_ch, side, _, _ = _ARCH[model_name]
+        x, shapes = np.zeros((0, in_ch, side, side), dtype=np.float32), {}
+        for layer in model.layers:
+            y = layer.forward(x, train=False)
+            shapes[layer.name], x = (x.shape, y.shape), y
         entry = POOLING_KINDS[kind]
-        if entry is None:
-            slot = build_model(TrainConfig(pooling_kind=kind)).slots["pool1"]
-            assert not any(isinstance(l, (PerceptronPool, MlpPoolStack)) for l in slot)
-            return
-        sharing, specs = entry
-        window = {} if specs else {"pooling_window": 4, "pooling_stride": 4}
-        (pool,) = build_model(TrainConfig(pooling_kind=kind, **window)).slots["pool1"]
-        built = pool.layers if specs else [pool]
-        expected = ([(f"pool1.{i}", u, (w, w), s) for i, (u, w, s) in enumerate(specs)]
-                    if specs else [("pool1", 1, (4, 4), 4)])
-        assert [(l.name, l.units, l.window, l.stride) for l in built] == expected
-        assert all(l.sharing is sharing for l in built)
-
-    @pytest.mark.parametrize("model, window, message", [
-        ("tiny_synth", 3, "pool1: window 3/stride 3 does not tile input dim 16 exactly"),
-        ("model_c_like", 4, "pool3: input dim 2 smaller than window 4"),
-    ])
-    def test_slot_that_does_not_fit_is_named(self, model, window, message):
-        cfg = TrainConfig(model=model, pooling_window=window, pooling_stride=window,
-                          data_kind="synth" if model == "tiny_synth" else "cifar10")
-        with pytest.raises(ValueError, match="^" + re.escape(
-                f"pooling.window = {window}, pooling.stride = {window}: {message}") + "$"):
-            build_model(cfg)
+        for name, slot in model.slots.items():
+            (n, c, h, w), _ = shapes[slot[0].name]
+            assert shapes[slot[-1].name][1] == (n, c, h // 2, w // 2), name
+            if entry is None:
+                assert not any(isinstance(l, (PerceptronPool, MlpPoolStack)) for l in slot)
+                continue
+            sharing, specs = entry
+            (pool,) = slot
+            built = pool.layers if len(specs) > 1 else [pool]
+            names = [f"{name}.{i}" for i in range(len(specs))] if len(specs) > 1 else [name]
+            assert [(l.name, l.units, l.window, l.stride) for l in built] == [
+                (layer_name, u, (k, k), s) for layer_name, (u, k, s) in zip(names, specs)]
+            assert all(l.sharing is sharing for l in built)
 
     def test_rng_for_is_stable(self):
         a = rng_for(3, "conv1").normal(size=4)

@@ -1,6 +1,8 @@
+import re
 from pathlib import Path
 
 import perceptpool
+from perceptpool.config import parse_config
 
 from oracles import run_python
 
@@ -41,3 +43,11 @@ def test_benchmark_builds_every_workload(tmp_path, monkeypatch):
         if wl.train:
             xb, yb = harness.next_batch(st)
             assert len(xb) == len(yb) == wl.batch, name
+
+
+def test_readme_config_example_parses():
+    # the documented keys and values are the ones parse_config accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = parse_config(block)
+    assert (cfg.model, cfg.pooling_kind, cfg.schedule_epochs) == ("model_c_like", "nn_4_1", (50, 100))

@@ -297,16 +297,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: config: epochs must be >= 1")):
             load_checkpoint(bad)
 
-    def test_echo_with_a_key_nothing_writes_names_the_file_and_key(self, tmp_path):
+    @pytest.mark.parametrize("line", ["pooling.sharing = global", "pooling.window = 2"])
+    def test_echo_with_a_key_nothing_writes_names_the_file_and_key(self, tmp_path, line):
+        # an echo written before the key was retired holds it
         cfg = tiny_config()
-        echo = cfg.to_text().replace("pooling.units = 1\n",
-                                     "pooling.units = 1\npooling.sharing = global\n")
+        echo = cfg.to_text().replace("pooling.kind = perceptron\n",
+                                     f"pooling.kind = perceptron\n{line}\n")
         assert echo.count("\n") == cfg.to_text().count("\n") + 1
         bad = tmp_path / "bad.ckpt"
         with bad.open("wb") as f:
             np.savez(f, **archive_members(build_model(cfg), echo))
+        key = line.split(" = ")[0]
         with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: config: line ")
-                           + r"\d+: unknown config key 'pooling.sharing'"):
+                           + rf"\d+: unknown config key '{re.escape(key)}'"):
             load_checkpoint(bad)
 
     def test_checkpoint_with_dead_conv_biases_names_the_file(self, tmp_path):
